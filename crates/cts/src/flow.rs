@@ -157,7 +157,7 @@ pub struct HierarchicalCts {
     /// machine's available parallelism, 1 routes serially. Any value
     /// yields bit-identical trees.
     pub workers: usize,
-    /// RNG seed for partitioning and the per-cluster route streams.
+    /// RNG seed for partitioning.
     pub seed: u64,
     /// Level-failure recovery: the degradation ladder. Disabled by
     /// default (fail fast, the historical behavior); see

@@ -4,9 +4,9 @@
 //! `&HierarchicalCts` and the cluster's members), so the stage fans out
 //! across a `std::thread::scope`: workers pull cluster indices from a
 //! shared atomic counter and write results into per-index slots.
-//! Collection is by cluster index, and each cluster's RNG stream is
-//! derived up front from the flow seed with SplitMix64 — the output is
-//! bit-identical no matter how many workers run or how they interleave.
+//! Collection is by cluster index and every topology generator is
+//! deterministic, so the output is bit-identical no matter how many
+//! workers run or how they interleave.
 
 use crate::error::CtsError;
 use crate::fault::{FaultKind, FaultStage};
@@ -14,7 +14,6 @@ use crate::flow::{HierarchicalCts, TopologyKind};
 use sllt_core::cbs::{try_cbs_intervals, CbsConfig};
 use sllt_geom::{centroid, Point};
 use sllt_obs::{ProgressEvent, WorkBudget};
-use sllt_rng::SplitMix64;
 use sllt_route::{ghtree, htree, rsmt, salt, try_dme_intervals, DelayModel, DmeOptions};
 use sllt_tree::{ClockNet, ClockTree, NodeKind, Sink};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -52,16 +51,11 @@ pub(crate) struct RoutedCluster {
     pub subtree_hi: f64,
 }
 
-/// One unit of route work: a cluster's members plus its private RNG
-/// stream seed. Today's topology generators are deterministic and ignore
-/// the seed; it is split off the flow seed *serially, in cluster order*
-/// so a future stochastic generator stays reproducible under any worker
-/// count.
+/// One unit of route work: a non-empty cluster's members.
 struct ClusterJob {
     /// Dense job index — the cluster identity carried in route errors.
     index: usize,
     members: Vec<LevelNode>,
-    seed: u64,
 }
 
 /// Groups `nodes` by `assignment` and routes every non-empty cluster.
@@ -80,7 +74,6 @@ pub(crate) fn route_clusters(
     attempt: usize,
     budget: &WorkBudget,
 ) -> Result<Vec<RoutedCluster>, CtsError> {
-    let mut seeds = SplitMix64::new(cts.seed ^ (level as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     // Single-pass bucketing: a per-cluster scan of `nodes` is O(k·n),
     // which at a million sinks (k ≈ 5·10⁴) costs minutes of pure
     // grouping. Buckets preserve node-index order within each cluster,
@@ -89,23 +82,11 @@ pub(crate) fn route_clusters(
     for (node, &a) in nodes.iter().zip(assignment) {
         buckets[a].push(*node);
     }
-    let mut index = 0usize;
     let jobs: Vec<ClusterJob> = buckets
         .into_iter()
-        .filter_map(|members| {
-            // Every cluster index draws its seed, occupied or not, so the
-            // streams do not shift when a cluster comes up empty.
-            let seed = seeds.next_u64();
-            (!members.is_empty()).then(|| {
-                let job = ClusterJob {
-                    index,
-                    members,
-                    seed,
-                };
-                index += 1;
-                job
-            })
-        })
+        .filter(|members| !members.is_empty())
+        .enumerate()
+        .map(|(index, members)| ClusterJob { index, members })
         .collect();
 
     // Cooperative deadline: the stage's cost is a pure function of the
@@ -257,10 +238,9 @@ fn route_cluster(
     let _cluster_span = sllt_obs::span("cts.route.cluster");
     let started = sllt_obs::enabled().then(std::time::Instant::now);
     let members = &job.members;
-    let _rng_stream = job.seed; // reserved for stochastic topology generators
-                                // Invariant: the partition stage never emits an empty cluster (the
-                                // min-cost flow assigns every centre at least one member), so the
-                                // centroid always exists.
+    // Invariant: the partition stage never emits an empty cluster (the
+    // min-cost flow assigns every centre at least one member), so the
+    // centroid always exists.
     let tap =
         centroid(&members.iter().map(|m| m.pos).collect::<Vec<_>>()).expect("cluster is non-empty");
     let net = ClockNet::new(
@@ -377,17 +357,6 @@ mod tests {
         assert_send_sync::<ClockTree>();
         assert_send_sync::<LevelNode>();
         assert_send_sync::<RoutedCluster>();
-    }
-
-    /// Cluster seed streams depend only on cluster index, not occupancy
-    /// or worker count: the same flow seed always yields the same stream.
-    #[test]
-    fn cluster_seeds_are_stable() {
-        let mut a = SplitMix64::new(0x05117C75 ^ 3u64.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let mut b = SplitMix64::new(0x05117C75 ^ 3u64.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        for _ in 0..16 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
     }
 
     #[test]

@@ -328,10 +328,12 @@ pub fn try_dme_intervals(
         }
     }
 
-    let mut nodes: Vec<MergeNode> = Vec::new();
+    // A binary merge order over n sinks has 2n − 1 nodes (n sinks,
+    // n − 1 merges); the embedded tree adds the source.
+    let mut nodes: Vec<MergeNode> = Vec::with_capacity(2 * net.len());
     let root_idx = build_up(net, topo, opts, intervals, &mut nodes)?;
 
-    let mut tree = ClockTree::new(net.source);
+    let mut tree = ClockTree::with_capacity(net.source, 2 * net.len() + 1);
     let root_pt = nodes[root_idx].region.nearest_to(net.source);
     let source_node = tree.root();
     embed_down(net, &nodes, root_idx, &mut tree, source_node, root_pt, None);
@@ -570,6 +572,11 @@ fn solve_increasing(f: impl Fn(f64) -> f64, start: f64) -> Result<f64, DmeError>
 fn bisect(f: &impl Fn(f64) -> f64, mut lo: f64, mut hi: f64, increasing: bool) -> f64 {
     for _ in 0..70 {
         let mid = 0.5 * (lo + hi);
+        if mid <= lo || mid >= hi {
+            // `lo` and `hi` are adjacent floats: every later step keeps
+            // the midpoint at `mid`.
+            return mid;
+        }
         let v = f(mid);
         let go_right = if increasing { v < 0.0 } else { v > 0.0 };
         if go_right {

@@ -65,11 +65,15 @@ pub fn skew_legalize_intervals(
     intervals: &[(f64, f64)],
 ) -> f64 {
     assert!(bound >= 0.0, "negative skew bound");
-    let n_slots = tree.path_lengths().len();
-    // Per-node downstream cap and delay interval measured from the node.
+    let n_slots = tree.arena_len();
+    // Per-node downstream cap and delay interval measured from the node,
+    // and whether any sink lies in the node's subtree.
     let mut cap = vec![0.0f64; n_slots];
     let mut lo = vec![0.0f64; n_slots];
     let mut hi = vec![0.0f64; n_slots];
+    let mut sink_below = vec![false; n_slots];
+    let mut children: Vec<NodeId> = Vec::new();
+    let mut windows: Vec<(NodeId, f64, f64)> = Vec::new();
     let mut added = 0.0;
 
     let order = tree.topo_order();
@@ -81,6 +85,7 @@ pub fn skew_legalize_intervals(
                 "internal load pin {v}: normalize the tree before legalizing"
             );
             cap[v.index()] = node.cap_ff();
+            sink_below[v.index()] = true;
             if !intervals.is_empty() {
                 let (l, h) = intervals[sink_index];
                 lo[v.index()] = l;
@@ -88,15 +93,16 @@ pub fn skew_legalize_intervals(
             }
             continue;
         }
-        let children: Vec<NodeId> = node.children().to_vec();
+        children.clear();
+        children.extend(node.children());
         if children.is_empty() {
             continue; // barren Steiner leaf: no sinks below, nothing to do
         }
         // Children with sinks below them, with their windows as seen
         // from `v` (edge delay included).
-        let mut windows: Vec<(NodeId, f64, f64)> = Vec::with_capacity(children.len());
+        windows.clear();
         for &c in &children {
-            if !has_sink_below(tree, c) {
+            if !sink_below[c.index()] {
                 continue;
             }
             let e = tree.node(c).edge_len();
@@ -106,10 +112,11 @@ pub fn skew_legalize_intervals(
         if windows.is_empty() {
             continue;
         }
+        sink_below[v.index()] = true;
         let slowest = windows.iter().fold(f64::NEG_INFINITY, |m, w| m.max(w.2));
         let mut v_lo = f64::INFINITY;
         let mut v_hi = f64::NEG_INFINITY;
-        for (c, w_lo, w_hi) in windows {
+        for &(c, w_lo, w_hi) in &windows {
             let deficit = (slowest - bound) - w_lo;
             let (w_lo, w_hi) = if deficit > 1e-12 {
                 // Slow this child: grow its edge until its fast end meets
@@ -139,13 +146,6 @@ pub fn skew_legalize_intervals(
     added
 }
 
-fn has_sink_below(tree: &ClockTree, v: NodeId) -> bool {
-    if tree.node(v).kind.is_sink() {
-        return true;
-    }
-    tree.node(v).children().any(|c| has_sink_below(tree, c))
-}
-
 fn wire_delay(model: &DelayModel, e: f64, cap: f64) -> f64 {
     match model {
         DelayModel::PathLength => e,
@@ -173,6 +173,11 @@ fn solve_extra(model: &DelayModel, base: f64, cap: f64, target: f64) -> f64 {
     let mut lo = 0.0;
     for _ in 0..70 {
         let mid = 0.5 * (lo + hi);
+        if mid <= lo || mid >= hi {
+            // `lo` and `hi` are adjacent floats: every later step keeps
+            // the midpoint at `mid`.
+            return mid;
+        }
         if f(mid) < 0.0 {
             lo = mid;
         } else {
@@ -304,5 +309,28 @@ mod tests {
         let s = t.add_sink(t.root(), Point::new(5.0, 0.0), 1.0);
         t.add_sink(s, Point::new(10.0, 0.0), 1.0);
         skew_legalize(&mut t, &DelayModel::PathLength, 1.0);
+    }
+
+    /// The shape `sinks_to_leaves` leaves on collinear sinks: a 200k-deep
+    /// Steiner spine, each spine node with the continuation as its first
+    /// child and a sink leaf second. Legalization must stay linear in
+    /// the node count and never recurse down the spine: this runs on the
+    /// default test thread's stack.
+    #[test]
+    fn deep_spine_legalizes_in_linear_time() {
+        const DEPTH: usize = 200_000;
+        let mut t = sllt_tree::ClockTree::with_capacity(Point::ORIGIN, 2 * DEPTH + 1);
+        let mut spine = vec![t.root()];
+        for i in 0..DEPTH {
+            spine.push(t.add_steiner(spine[i], Point::new(i as f64 + 1.0, 0.0)));
+        }
+        for &s in &spine[1..] {
+            t.add_sink(s, t.node(s).pos, 1.0);
+        }
+        let bound = 10.0;
+        let added = skew_legalize(&mut t, &DelayModel::PathLength, bound);
+        assert!(added > 0.0);
+        let skew = skew_of(&t, &DelayModel::PathLength);
+        assert!(skew <= bound + 1e-6, "skew {skew}");
     }
 }

@@ -65,14 +65,13 @@ pub fn salt_from_tree(net: &ClockNet, mut tree: ClockTree, eps: f64) -> ClockTre
 /// One SALT shortcut pass: every node whose routed path exceeds
 /// `(1 + eps) · MD` is reparented to the deepest ancestor that restores
 /// the budget (the source always qualifies).
-fn enforce_shallowness(net: &ClockNet, tree: &mut ClockTree, eps: f64) {
+pub(crate) fn enforce_shallowness(net: &ClockNet, tree: &mut ClockTree, eps: f64) {
     let src = net.source;
     let budget = 1.0 + eps;
 
     // DFS with incremental path lengths; children are fetched after the
     // potential reparent of the current node so subtree updates propagate.
-    let mut pl = vec![0.0f64; 0];
-    pl.resize(tree.path_lengths().len(), 0.0);
+    let mut pl = vec![0.0f64; tree.arena_len()];
     let mut stack: Vec<NodeId> = vec![tree.root()];
     // Ancestor chain is recovered by walking parent pointers on demand;
     // path lengths of processed nodes are valid because parents are

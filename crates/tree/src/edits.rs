@@ -11,22 +11,34 @@ use crate::{ClockTree, NodeId, NodeKind};
 /// pass-through (degree-1) Steiner nodes are spliced out, with routed
 /// lengths preserved. Runs to a fixed point; returns how many nodes were
 /// removed.
+///
+/// Each pass visits the live nodes in arena order but skips clean ones:
+/// a node found with two or more children keeps that degree until one
+/// of its leaves is removed, which dirties it (a splice hands the parent
+/// a new child in place of the old, so degrees stand). The removals are
+/// exactly those of a full rescan (DESIGN.md §4f).
 pub fn eliminate_redundant_steiner(tree: &mut ClockTree) -> usize {
     let mut removed = 0;
+    let mut ids: Vec<NodeId> = Vec::with_capacity(tree.len());
+    let mut dirty = vec![true; tree.arena_len()];
     loop {
         let mut changed = false;
-        let ids: Vec<NodeId> = tree.node_ids().collect();
-        for id in ids {
-            if !tree.is_alive(id) || id == tree.root() {
+        ids.clear();
+        ids.extend(tree.node_ids());
+        for &id in &ids {
+            if !dirty[id.index()] || !tree.is_alive(id) || id == tree.root() {
                 continue;
             }
+            dirty[id.index()] = false;
             let n = tree.node(id);
             if !n.kind.is_steiner() {
                 continue;
             }
             match n.children().len() {
                 0 => {
+                    let parent = n.parent().expect("non-root node has a parent");
                     tree.remove_leaf(id);
+                    dirty[parent.index()] = true;
                     removed += 1;
                     changed = true;
                 }
@@ -123,6 +135,42 @@ pub fn binarize(tree: &mut ClockTree) -> usize {
         stack.extend(tree.node(id).children());
     }
     inserted
+}
+
+/// The full-rescan form of [`eliminate_redundant_steiner`]: every pass
+/// revisits every live node. Equivalence oracle for the worklist pass.
+#[cfg(test)]
+pub(crate) fn eliminate_redundant_steiner_oracle(tree: &mut ClockTree) -> usize {
+    let mut removed = 0;
+    loop {
+        let mut changed = false;
+        let ids: Vec<NodeId> = tree.node_ids().collect();
+        for id in ids {
+            if !tree.is_alive(id) || id == tree.root() {
+                continue;
+            }
+            let n = tree.node(id);
+            if !n.kind.is_steiner() {
+                continue;
+            }
+            match n.children().len() {
+                0 => {
+                    tree.remove_leaf(id);
+                    removed += 1;
+                    changed = true;
+                }
+                1 => {
+                    tree.splice_out(id);
+                    removed += 1;
+                    changed = true;
+                }
+                _ => {}
+            }
+        }
+        if !changed {
+            return removed;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -228,5 +276,108 @@ mod tests {
             }
         }
         assert_eq!(t.sinks().len(), 4);
+    }
+
+    /// A random tree over coarse-grid points (so positions coincide):
+    /// each node hangs under a random earlier node as a Steiner point or
+    /// a sink, a quarter of the edges carry detour wire, and a round of
+    /// shortcut reparents (as SALT applies) strands Steiner leaves and
+    /// pass-through chains.
+    fn random_tree(seed: u64, n: usize) -> ClockTree {
+        use sllt_rng::prelude::*;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pt = |rng: &mut StdRng| {
+            Point::new(
+                rng.random_range(0..6) as f64 * 5.0,
+                rng.random_range(0..6) as f64 * 5.0,
+            )
+        };
+        let mut t = ClockTree::new(pt(&mut rng));
+        for i in 1..n {
+            let parent = NodeId(rng.random_range(0..i));
+            let pos = pt(&mut rng);
+            let parent_is_sink = t.node(parent).kind.is_sink();
+            let id = if parent_is_sink || rng.random_range(0..2) == 0 {
+                t.add_steiner(parent, pos)
+            } else {
+                t.add_sink(parent, pos, 1.0)
+            };
+            if rng.random_range(0..4) == 0 {
+                t.add_detour(id, rng.random_range(0.5..10.0));
+            }
+        }
+        for _ in 0..n / 3 {
+            let v = NodeId(rng.random_range(1..n));
+            // Shortcut to a random strict ancestor other than the parent.
+            let mut ancestors = Vec::new();
+            let mut cur = t.node(v).parent().and_then(|p| t.node(p).parent());
+            while let Some(a) = cur {
+                ancestors.push(a);
+                cur = t.node(a).parent();
+            }
+            if !ancestors.is_empty() {
+                let to = ancestors[rng.random_range(0..ancestors.len())];
+                t.reparent(v, to);
+            }
+        }
+        t
+    }
+
+    fn assert_elimination_matches_oracle(tree: &ClockTree, what: &str) {
+        let (mut fast, mut slow) = (tree.clone(), tree.clone());
+        let removed = eliminate_redundant_steiner(&mut fast);
+        assert_eq!(
+            removed,
+            eliminate_redundant_steiner_oracle(&mut slow),
+            "{what}"
+        );
+        assert_eq!(fast, slow, "{what}");
+        assert_eq!(
+            crate::codec::encode_tree(&fast),
+            crate::codec::encode_tree(&slow),
+            "{what}"
+        );
+    }
+
+    #[test]
+    fn worklist_elimination_matches_oracle() {
+        for seed in 0..200 {
+            let n = 1 + (seed as usize * 13) % 120;
+            let tree = random_tree(seed, n);
+            assert_elimination_matches_oracle(&tree, &format!("seed {seed}, {n} nodes"));
+            // Normalized the way CBS step 4 leaves trees.
+            let mut normalized = tree;
+            eliminate_redundant_steiner(&mut normalized);
+            sinks_to_leaves(&mut normalized);
+            binarize(&mut normalized);
+            assert_elimination_matches_oracle(&normalized, &format!("seed {seed} normalized"));
+        }
+    }
+
+    #[test]
+    fn worklist_elimination_revisits_forks_left_pass_through() {
+        // A spine of forks, each with a dead Steiner leaf: the first pass
+        // removes the leaves after their forks were visited, so only the
+        // dirty marks bring the forks (now pass-through) back in the
+        // second pass.
+        let mut t = ClockTree::new(Point::ORIGIN);
+        let mut cur = t.root();
+        for i in 0..300 {
+            let fork = t.add_steiner(cur, Point::new(i as f64, 0.0));
+            t.add_steiner(fork, Point::new(i as f64, 1.0));
+            cur = fork;
+        }
+        assert_elimination_matches_oracle(&t, "chain");
+        eliminate_redundant_steiner(&mut t);
+        assert!(t.is_empty());
+    }
+
+    #[test]
+    #[cfg(feature = "proptest")]
+    fn proptest_worklist_elimination_matches_oracle() {
+        use proptest::prelude::*;
+        proptest!(|(seed in 0u64..100_000, n in 1usize..300)| {
+            assert_elimination_matches_oracle(&random_tree(seed, n), "random tree");
+        });
     }
 }

@@ -102,6 +102,16 @@ cargo test -q --release -p sllt-partition --features proptest -- \
     proptest_warm_assignment_cost_matches_cold \
     proptest_reoptimize_matches_cold_solve
 
+echo "== CBS kernel worklists: oracle equivalence + deep-spine legalize (release)"
+# The dirty-node worklist passes (steinerize, relocate_steiner,
+# eliminate_redundant_steiner) must build bit-identical trees to their
+# full-rescan oracles, proptests included; skew legalization must stay
+# linear, and off the thread stack, on a 200k-deep Steiner spine.
+cargo test -q --release -p sllt-route --features proptest --lib -- \
+    worklist_passes_match_oracles deep_spine_legalizes_in_linear_time
+cargo test -q --release -p sllt-tree --features proptest --lib -- \
+    worklist_elimination
+
 echo "== durability: text -> binary checkpoint migration round-trip"
 # A v1 text checkpoint must resume bit-identically through the binary
 # (schema-2) writer, and the binary form must be at least 5x smaller.

@@ -3,10 +3,12 @@
 
 use sllt::core::analysis::analyze;
 use sllt::core::cbs::{cbs, step1_initial_bst, CbsConfig};
+use sllt::design::NetGenerator;
 use sllt::geom::Point;
+use sllt::obs::fnv1a64;
 use sllt::route::{salt::salt, skew_of, DelayModel, TopologyScheme};
 use sllt::timing::Technology;
-use sllt::tree::{ClockNet, Sink};
+use sllt::tree::{codec::encode_tree, ClockNet, Sink};
 use sllt_rng::prelude::*;
 
 fn random_net(seed: u64, n: usize) -> ClockNet {
@@ -109,4 +111,36 @@ fn analysis_is_consistent_with_the_tree() {
     assert!(r.metrics.skewness >= 1.0);
     assert!(r.metrics.lightness > 0.9, "lightness vs an RSMT reference");
     assert!(r.skew_um <= CbsConfig::default().skew_bound + 1e-6);
+}
+
+/// Golden output: FNV-1a 64 over the binary encodings of CBS trees on the
+/// paper's random nets, at the paper's three Elmore skew levels plus one
+/// path-length bound. Any change to the trees CBS builds — arena order,
+/// node positions, routed lengths — moves this constant, so kernel
+/// rewrites that promise identical output are held to it.
+#[test]
+fn cbs_output_fingerprint_is_pinned() {
+    let tech = Technology::n28();
+    let configs = [
+        (80.0, DelayModel::Elmore(tech)),
+        (10.0, DelayModel::Elmore(tech)),
+        (5.0, DelayModel::Elmore(tech)),
+        (15.0, DelayModel::PathLength),
+    ];
+    let gen = NetGenerator::paper();
+    let mut bytes = Vec::new();
+    for i in 0..320u64 {
+        let (skew_bound, model) = configs[i as usize % configs.len()];
+        let cfg = CbsConfig {
+            skew_bound,
+            model,
+            ..CbsConfig::default()
+        };
+        bytes.extend_from_slice(&encode_tree(&cbs(&gen.net(i), &cfg)));
+    }
+    let fingerprint = fnv1a64(&bytes);
+    assert_eq!(
+        fingerprint, 0xe37a_bc69_340b_1e2d,
+        "CBS output changed: fingerprint {fingerprint:#018x}"
+    );
 }
