@@ -1,16 +1,13 @@
 //! Criterion: the partition fast path — grid-pruned vs full-scan
-//! nearest centre, warm (overflow-repair) vs cold (dense flow) capacity
-//! assignment, and scored restarts.
+//! nearest centre, and scored restarts.
 //!
 //! Companions to the substrate benches in `partition.rs`: these measure
 //! the specific optimizations behind the partition_ms drop recorded in
-//! EXPERIMENTS.md, each against its exact-equivalent slow path.
+//! EXPERIMENTS.md.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sllt_geom::Point;
-use sllt_partition::{
-    balanced_kmeans_cfg, balanced_kmeans_restarts_scored, nearest_scan_l1, CenterGrid, KmeansConfig,
-};
+use sllt_partition::{balanced_kmeans_restarts_scored, nearest_scan_l1, CenterGrid, KmeansConfig};
 use sllt_rng::prelude::*;
 use std::time::Duration;
 
@@ -54,28 +51,6 @@ fn bench_nearest(c: &mut Criterion) {
     g.finish();
 }
 
-/// Warm vs cold balanced K-means: identical algorithm, the capacity
-/// assignment either repairs overflow from the nearest-centre seed or
-/// re-solves the dense point×centre flow every balance round.
-fn bench_warm_vs_cold(c: &mut Criterion) {
-    let mut g = c.benchmark_group("balanced_kmeans_assign");
-    g.sample_size(15);
-    for n in [300usize, 900] {
-        let pts = points(n, 11);
-        let k = n.div_ceil(32);
-        for (label, warm) in [("warm", true), ("cold", false)] {
-            let cfg = KmeansConfig {
-                warm_mcf: warm,
-                ..KmeansConfig::default()
-            };
-            g.bench_with_input(BenchmarkId::new(label, n), &pts, |b, pts| {
-                b.iter(|| balanced_kmeans_cfg(std::hint::black_box(pts), k, 32, 1, &cfg))
-            });
-        }
-    }
-    g.finish();
-}
-
 /// Scored restarts at one worker: the serial baseline the parallel
 /// fan-out is measured against (the pool is bit-identical, so worker
 /// scaling is pure wall-clock).
@@ -105,6 +80,6 @@ fn bench_restarts(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().measurement_time(Duration::from_secs(3)).warm_up_time(Duration::from_secs(1));
-    targets = bench_nearest, bench_warm_vs_cold, bench_restarts
+    targets = bench_nearest, bench_restarts
 }
 criterion_main!(benches);

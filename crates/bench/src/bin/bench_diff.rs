@@ -21,18 +21,13 @@
 use sllt_bench::{arg_parse, arg_value, run_main, Table};
 use sllt_cts::flow::HierarchicalCts;
 use sllt_cts::{evaluate, CollectingObserver, RecordingSink};
-use sllt_design::Design;
+use sllt_design::{design_by_name, Design};
 use sllt_obs::Value;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
 fn main() -> std::process::ExitCode {
     run_main(run)
-}
-
-fn design_by_name(name: &str) -> Result<Design, String> {
-    sllt_design::design_by_name(name)
-        .ok_or_else(|| format!("unknown design {name:?}; see `table4` for the suite"))
 }
 
 /// A fresh-run summary in the same shape as one `BENCH_cts.json`

@@ -37,7 +37,7 @@
 
 use sllt_bench::{arg_flag, arg_parse, arg_value, peak_rss_bytes, run_main, Table};
 use sllt_cts::{evaluate, CancelToken, CtsError, Progress};
-use sllt_design::Design;
+use sllt_design::design_by_name;
 use sllt_obs::journal::{fnv1a64, read_journal};
 use sllt_obs::vfs::{real_fs, FaultConfig, FaultFs, Vfs};
 use sllt_obs::{DurableAppender, JournalProgress, Value};
@@ -64,14 +64,6 @@ fn main() -> ExitCode {
 }
 
 // ---------------------------------------------------------------- jobs
-
-/// Resolves a design name: the benchmark suite by name, or a synthetic
-/// `grid<N>` register grid ([`sllt_design::GridSpec`]) for smoke tests
-/// that must not pay ISCAS-scale runtimes.
-fn design_by_name(name: &str) -> Result<Design, String> {
-    sllt_design::design_by_name(name)
-        .ok_or_else(|| format!("unknown design {name:?}; see `table4` for the suite"))
-}
 
 /// The storage seam shared by the manifest and per-job progress
 /// journals: `--fault-fs seed=N[,after=N][,rate=F][,kinds=...]` swaps

@@ -145,14 +145,6 @@ pub struct HierarchicalCts {
     /// combination yields bit-identical trees. Must be at least 1 when
     /// [`use_sa`](Self::use_sa) is set.
     pub sa_chains: usize,
-    /// Whether the per-cluster capacity assignment inside balanced
-    /// K-means warm-starts from the nearest-centre seed and repairs only
-    /// the overflow with a small min-cost flow, instead of solving the
-    /// dense point×centre flow from scratch each balance round. Exact —
-    /// the repaired assignment reaches the dense optimum's total cost —
-    /// and several times faster; disable only to cross-check trees
-    /// against the cold solver.
-    pub partition_warm_mcf: bool,
     /// Worker threads for the per-cluster route stage: 0 picks the
     /// machine's available parallelism, 1 routes serially. Any value
     /// yields bit-identical trees.
@@ -219,7 +211,6 @@ impl Default for HierarchicalCts {
             sizing_slack: 1.3,
             partition_restarts: 4,
             sa_chains: 2,
-            partition_warm_mcf: true,
             workers: 0,
             seed: 0x05117C75,
             recovery: RecoveryPolicy::default(),
@@ -471,7 +462,6 @@ impl HierarchicalCts {
                     self.vfs.as_ref(),
                     path,
                     ckpt.valid_len,
-                    ckpt.schema,
                     &cx.nodes,
                 )?)
             }

@@ -76,10 +76,7 @@ pub(crate) fn partition_level(
     // (10 ms at 300 points, ~700 ms at 1400), so levels past a few
     // hundred nodes pay seconds per restart; the cell path bounds every
     // solve at `max_cell` points and stays near-linear.
-    let kcfg = sllt_partition::KmeansConfig {
-        warm_mcf: cts.partition_warm_mcf,
-        ..Default::default()
-    };
+    let kcfg = sllt_partition::KmeansConfig::default();
     let part = if n > 600 {
         // Cell size bounds the min-cost-flow's quadratic blowup: at ~300
         // points a cell assigns in ~10 ms where 1200-point cells cost

@@ -266,6 +266,56 @@ fn fingerprint_guards_config_and_design_drift() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A schema-1 journal as the retired text writer laid it out: the
+/// fingerprinted meta record, then one JSONL record per level with the
+/// nodes as `[x, y, cap, lo, hi, kind, idx]` arrays and each cluster's
+/// tree as v1 tree text.
+const SCHEMA1_JOURNAL: [&str; 2] = [
+    r#"{"type":"sllt-ckpt","schema":1,"design":"ckptgrid","sinks":96,"fingerprint":"5d0f4c2b9a17e3e1"}"#,
+    r#"{"type":"level","level":0,"report":{"type":"level","level":0,"nodes":96,"clusters":1,"workers":1,"partition_ms":1.5,"route_ms":2.25,"sizing_ms":0.5,"wirelength_um":412.5,"load_cap_ff":58.4,"driver_input_cap_ff":2.1,"driver_area_um2":3.5,"pads":0,"delay_spread_ps":4.75,"attempts":1,"downgrades":[]},"nodes":[[82.5,52.5,2.1,31.25,36.0,1,0]],"clusters":[{"cell":2,"pads":0,"x":82.5,"y":52.5,"members":[[0.0,0.0,1.0,0.0,0.0,0,0]],"tree":"sllt-tree v1\nsource 82.5 52.5\nnode 1 sink 0.0 0.0 0 135.0 cap 1.0 idx 0\n"}]}"#,
+];
+
+#[test]
+fn schema1_text_journal_is_refused_cleanly() {
+    let design = grid_design();
+    let cts = HierarchicalCts {
+        workers: 1,
+        ..HierarchicalCts::default()
+    };
+    let path = journal_path("schema1");
+    let mut text = String::new();
+    for line in SCHEMA1_JOURNAL {
+        text += &sllt_obs::journal::seal(&sllt_obs::json::parse(line).unwrap());
+        text.push('\n');
+    }
+    std::fs::write(&path, &text).unwrap();
+    for r in [
+        Checkpoint::load(&path, &cts, &design).map(|_| ()),
+        cts.resume(&design, &path).map(|_| ()),
+    ] {
+        match r {
+            Err(CtsError::Checkpoint { detail }) => assert!(
+                detail.contains("no longer read") && detail.contains("fresh"),
+                "{detail}"
+            ),
+            other => panic!("expected a schema-1 refusal, got {other:?}"),
+        }
+    }
+    // Meta alone, or a torn final level record, is refused the same way.
+    let meta_len = text.find('\n').unwrap() + 1;
+    for len in [meta_len, text.len() - 9] {
+        std::fs::write(&path, &text.as_bytes()[..len]).unwrap();
+        assert!(matches!(
+            Checkpoint::load(&path, &cts, &design),
+            Err(CtsError::Checkpoint { .. })
+        ));
+    }
+    // Starting fresh over the refused journal works.
+    let reference = cts.run(&design).unwrap();
+    assert_eq!(cts.run_checkpointed(&design, &path).unwrap(), reference);
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn corrupt_interior_record_is_refused() {
     let design = grid_design();

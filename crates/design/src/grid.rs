@@ -112,12 +112,20 @@ pub fn grid_design(sinks: usize) -> Design {
 
 /// Resolves any design name a harness accepts: a placed suite design
 /// (`crate::suite::DesignSpec::by_name`) or a synthetic `grid<N>`.
-/// `None` for unknown names and malformed/zero grid sizes.
-pub fn design_by_name(name: &str) -> Option<Design> {
-    if name.starts_with("grid") {
-        return GridSpec::by_name(name).map(|g| g.instantiate());
-    }
-    crate::suite::DesignSpec::by_name(name).map(|s| s.instantiate())
+///
+/// # Errors
+///
+/// One "unknown design" message, naming both accepted forms, for
+/// unknown names and malformed/zero grid sizes.
+pub fn design_by_name(name: &str) -> Result<Design, String> {
+    let design = if name.starts_with("grid") {
+        GridSpec::by_name(name).map(|g| g.instantiate())
+    } else {
+        crate::suite::DesignSpec::by_name(name).map(|s| s.instantiate())
+    };
+    design.ok_or_else(|| {
+        format!("unknown design {name:?}: expected a suite design (see `sllt suite`) or grid<N>")
+    })
 }
 
 #[cfg(test)]
@@ -148,6 +156,20 @@ mod tests {
         assert_eq!(GridSpec::by_name("gridx"), None);
         let d = GridSpec::by_name("grid96").unwrap().instantiate();
         assert_eq!(d.name, "grid96");
+    }
+
+    #[test]
+    fn design_by_name_resolves_suite_and_grids_with_one_error() {
+        assert_eq!(design_by_name("s35932").unwrap().name, "s35932");
+        assert_eq!(design_by_name("grid48").unwrap().sinks.len(), 48);
+        for bad in ["nonexistent", "grid0", "gridx"] {
+            assert_eq!(
+                design_by_name(bad).unwrap_err(),
+                format!(
+                    "unknown design {bad:?}: expected a suite design (see `sllt suite`) or grid<N>"
+                )
+            );
+        }
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!   unconstrained nearest assignment (optimal ignoring capacity) seeds
 //!   a small *overflow-repair* flow that only routes the few points
 //!   that must move off overloaded centres. The repair is exact (its
-//!   optimum equals the dense solve's optimum); the dense solve remains
-//!   as the cold reference path behind [`KmeansConfig::warm_mcf`].
+//!   optimum equals the dense solve's optimum); the dense solve is a
+//!   test-only oracle the repair is checked against.
 
 use crate::cost::weighted_pick;
 use crate::mcf::MinCostFlow;
@@ -74,9 +74,8 @@ impl Partition {
 }
 
 /// Tuning knobs for [`balanced_kmeans_cfg`]. The default reproduces the
-/// production path: 25 Lloyd iterations, two balance rounds, warm
-/// (overflow-repair) capacity assignment, and deterministic reseeding
-/// of emptied centres.
+/// production path: 25 Lloyd iterations, two balance rounds, and
+/// deterministic reseeding of emptied centres.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KmeansConfig {
     /// Maximum unconstrained Lloyd iterations before the capacity
@@ -87,11 +86,6 @@ pub struct KmeansConfig {
     /// their capacity-feasible membership (stops early when the
     /// assignment stops changing).
     pub balance_rounds: usize,
-    /// Warm-start the capacity assignment from the unconstrained
-    /// nearest assignment (overflow repair) instead of solving the
-    /// dense bipartite flow from scratch. Both paths reach an
-    /// assignment of equal total cost; `false` is the cold reference.
-    pub warm_mcf: bool,
     /// Reseed a centre that lost all members to the current farthest
     /// point (deterministically) instead of letting the dead centroid
     /// persist for all remaining iterations.
@@ -103,7 +97,6 @@ impl Default for KmeansConfig {
         KmeansConfig {
             lloyd_iters: 25,
             balance_rounds: 2,
-            warm_mcf: true,
             reseed_empty: true,
         }
     }
@@ -382,7 +375,7 @@ pub fn balanced_kmeans_cfg(
             sllt_obs::count("partition.kmeans.assign_greedy", 1);
             greedy_capacitated(points, &centers, cap)
         } else {
-            capacitated_assign(points, &px, &py, &centers, cap, cfg.warm_mcf)
+            capacitated_assign(&px, &py, &centers, cap)
         };
         let converged = round > 0 && next == assignment;
         assignment = next;
@@ -528,21 +521,10 @@ fn lloyd(
     iters
 }
 
-/// Capacity-exact assignment for flow-sized instances: the warm path
-/// repairs the unconstrained nearest assignment; the cold path solves
-/// the dense bipartite flow. Both are optimal for the given centres.
-fn capacitated_assign(
-    points: &[Point],
-    px: &[f64],
-    py: &[f64],
-    centers: &[Point],
-    cap: usize,
-    warm: bool,
-) -> Vec<usize> {
-    if !warm {
-        sllt_obs::count("partition.kmeans.assign_mcf", 1);
-        return mcf_assign(points, centers, cap);
-    }
+/// Capacity-exact assignment for flow-sized instances: repairs the
+/// unconstrained nearest assignment with a small overflow flow, whose
+/// optimum equals the dense bipartite flow's for the given centres.
+fn capacitated_assign(px: &[f64], py: &[f64], centers: &[Point], cap: usize) -> Vec<usize> {
     let k = centers.len();
     let n = px.len();
     let cx: Vec<f64> = centers.iter().map(|c| c.x).collect();
@@ -641,8 +623,8 @@ fn repair_assign(
 
 /// Optimal capacitated assignment by dense min-cost flow:
 /// source → point (1, 0); point → centre (1, L1 distance);
-/// centre → sink (cap, 0). The cold reference for
-/// [`repair_assign`]-based warm starts.
+/// centre → sink (cap, 0). The test oracle for [`capacitated_assign`].
+#[cfg(test)]
 fn mcf_assign(points: &[Point], centers: &[Point], cap: usize) -> Vec<usize> {
     let k = centers.len();
     let n = points.len();
@@ -1297,9 +1279,9 @@ mod tests {
         assert_eq!(grid.nearest_l2sq(100.0, -7.0), 0);
     }
 
-    /// Warm (overflow-repair) and cold (dense flow) capacity
-    /// assignments must reach the same total cost — and on ties-free
-    /// random instances, the same assignment.
+    /// The overflow-repair assignment must reach the dense-flow
+    /// oracle's total cost, differing from it only where alternate
+    /// optima tie.
     #[test]
     fn warm_assignment_matches_dense_flow() {
         for seed in 0..15u64 {
@@ -1313,8 +1295,8 @@ mod tests {
                 .collect();
             let px: Vec<f64> = pts.iter().map(|p| p.x).collect();
             let py: Vec<f64> = pts.iter().map(|p| p.y).collect();
-            let warm = capacitated_assign(&pts, &px, &py, &centers, cap, true);
-            let cold = capacitated_assign(&pts, &px, &py, &centers, cap, false);
+            let warm = capacitated_assign(&px, &py, &centers, cap);
+            let cold = mcf_assign(&pts, &centers, cap);
             let cost =
                 |a: &[usize]| -> f64 { pts.iter().zip(a).map(|(p, &c)| p.dist(centers[c])).sum() };
             let (cw, cc) = (cost(&warm), cost(&cold));
@@ -1336,6 +1318,67 @@ mod tests {
                 "seed={seed}: {diverged} non-tie divergences (warm {cw} vs cold {cc})"
             );
         }
+    }
+
+    /// At the sizes the flow assigns — cells of up to 300 points,
+    /// fanout-32 capacity, k from the fanout bound up to the flow's 1.2×
+    /// capacitance slack, centres settled by Lloyd so only a few points
+    /// overflow — the repair reproduces the dense-flow oracle, and
+    /// equal assignments give equal partitions, hence equal trees.
+    ///
+    /// Random coordinates do not rule out every tie under L1: two
+    /// points both beyond a centre pair's x- and y-extent pay the same
+    /// cost difference between the pair, so swapping them is free and
+    /// two optimal solvers may split them differently. Any divergence
+    /// must therefore be such an exchange: the diverging points cost
+    /// the same, to rounding, under either assignment.
+    #[test]
+    fn repair_assignment_matches_dense_flow_at_flow_sizes() {
+        let cap = 32;
+        let mut repaired = 0;
+        for seed in 0..48u64 {
+            let n = 100 + (seed as usize * 37) % 201;
+            let slack = if seed % 2 == 0 { 1.0 } else { 1.2 };
+            let k = (n as f64 * slack / cap as f64).ceil() as usize;
+            let pts = random_points(seed, n, 40.0 * n as f64);
+            let px: Vec<f64> = pts.iter().map(|p| p.x).collect();
+            let py: Vec<f64> = pts.iter().map(|p| p.y).collect();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut centers = seed_plus_plus(&pts, k, &mut rng);
+            let mut assignment = vec![0usize; n];
+            let cfg = KmeansConfig::default();
+            lloyd(&pts, &px, &py, &mut centers, &mut assignment, &cfg);
+            let cx: Vec<f64> = centers.iter().map(|c| c.x).collect();
+            let cy: Vec<f64> = centers.iter().map(|c| c.y).collect();
+            let mut load = vec![0usize; k];
+            for i in 0..n {
+                load[nearest_scan_l1(&cx, &cy, px[i], py[i])] += 1;
+            }
+            if load.iter().any(|&l| l > cap) {
+                repaired += 1;
+            }
+
+            let warm = capacitated_assign(&px, &py, &centers, cap);
+            let cold = mcf_assign(&pts, &centers, cap);
+            if warm == cold {
+                continue;
+            }
+            let diverged: Vec<usize> = (0..n).filter(|&i| warm[i] != cold[i]).collect();
+            let cost =
+                |a: &[usize]| -> f64 { diverged.iter().map(|&i| pts[i].dist(centers[a[i]])).sum() };
+            let (cw, cc) = (cost(&warm), cost(&cold));
+            assert!(
+                (cw - cc).abs() <= 1e-12 * (cw + cc),
+                "seed={seed} n={n}: {} points diverge at cost {cw} vs {cc}",
+                diverged.len()
+            );
+            let mut counts = vec![0usize; k];
+            for &a in &warm {
+                counts[a] += 1;
+            }
+            assert!(counts.iter().all(|&c| c <= cap), "seed={seed}: capacity");
+        }
+        assert!(repaired >= 24, "only {repaired}/48 instances overflowed");
     }
 
     #[test]
@@ -1563,8 +1606,8 @@ mod tests {
                 .collect();
             let px: Vec<f64> = pts.iter().map(|p| p.x).collect();
             let py: Vec<f64> = pts.iter().map(|p| p.y).collect();
-            let warm = capacitated_assign(&pts, &px, &py, &centers, cap, true);
-            let cold = capacitated_assign(&pts, &px, &py, &centers, cap, false);
+            let warm = capacitated_assign(&px, &py, &centers, cap);
+            let cold = mcf_assign(&pts, &centers, cap);
             let cost = |a: &[usize]| -> f64 {
                 pts.iter().zip(a).map(|(p, &c)| p.dist(centers[c])).sum()
             };

@@ -19,7 +19,6 @@ use sllt_cts::{
     evaluate, CancelToken, CtsError, FaultKind, FaultPlan, FaultStage, Progress, RecoveryPolicy,
     StageFault,
 };
-use sllt_design::Design;
 use sllt_obs::progress::{read_progress, ProgressEvent};
 use sllt_obs::{JournalProgress, Value};
 use std::collections::HashSet;
@@ -55,13 +54,6 @@ pub fn config_by_name(name: &str) -> Result<HierarchicalCts, String> {
             "unknown config {name:?}; available: base, tight, nosa"
         )),
     }
-}
-
-/// Resolves a design name: the benchmark suite by name, or a synthetic
-/// `grid<N>` register grid for smoke-scale jobs.
-pub fn design_by_name(name: &str) -> Result<Design, String> {
-    sllt_design::design_by_name(name)
-        .ok_or_else(|| format!("unknown design {name:?}; see `sllt suite`"))
 }
 
 /// Fault-injection hooks a submit may attach — the test levers behind
@@ -191,7 +183,7 @@ pub fn run_child(args: &ChildArgs) -> Result<(), u8> {
             sllt_design::read_design(&mut BufReader::new(f))
                 .map_err(|e| fail(format!("{}: {e}", path.display())))?
         }
-        None => design_by_name(&args.design).map_err(fail)?,
+        None => sllt_design::design_by_name(&args.design).map_err(fail)?,
     };
     let mut cts = config_by_name(&args.config).map_err(fail)?;
     cts.workers = args.workers;
@@ -401,7 +393,6 @@ mod tests {
         }
         let err = config_by_name("hyperdrive").unwrap_err();
         assert!(err.contains("hyperdrive"));
-        assert!(design_by_name("not_a_design").is_err());
     }
 
     #[test]
@@ -461,6 +452,29 @@ mod tests {
         assert!(
             !ckpt_path(&dir, "t1").exists(),
             "finished job cleans its checkpoint"
+        );
+
+        // A schema-1 text journal at the checkpoint path is refused as
+        // `CtsError::Checkpoint`: the child discards it and runs fresh.
+        let stale = ChildArgs {
+            job_id: "t2".into(),
+            ..args
+        };
+        let mut journal = String::new();
+        for line in [
+            r#"{"type":"sllt-ckpt","schema":1,"design":"grid36","sinks":36,"fingerprint":"0123456789abcdef"}"#,
+            r#"{"type":"level","level":0,"report":{},"nodes":[[45.0,15.0,2.1,30.5,34.0,1,0]],"clusters":[]}"#,
+        ] {
+            journal += &sllt_obs::journal::seal(&sllt_obs::json::parse(line).unwrap());
+            journal.push('\n');
+        }
+        std::fs::write(ckpt_path(&dir, "t2"), journal).unwrap();
+        run_child(&stale).expect("job discards the text journal and runs");
+        assert!(!ckpt_path(&dir, "t2").exists());
+        assert_eq!(
+            std::fs::read(tree_path(&dir, "t2")).unwrap(),
+            std::fs::read(tree_path(&dir, "t1")).unwrap(),
+            "the fresh run builds the same tree"
         );
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -752,7 +752,7 @@ fn handle_submit(s: &Shared, spec: &SubmitSpec) -> Result<Value, ProtoError> {
             (cached.name, Some(cached.path), Some(cached.hit))
         }
         None => {
-            jobs::design_by_name(&spec.design).map_err(|e| ProtoError::new(E_PARSE, e))?;
+            sllt_design::design_by_name(&spec.design).map_err(|e| ProtoError::new(E_PARSE, e))?;
             (spec.design.clone(), None, None)
         }
     };

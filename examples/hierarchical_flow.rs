@@ -9,15 +9,13 @@ use sllt::cts::{
     baseline, constraints::CtsConstraints, eval::evaluate, flow::HierarchicalCts,
     CollectingObserver,
 };
-use sllt::design::DesignSpec;
+use sllt::design::design_by_name;
 
 fn main() {
     let name = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "s38584".to_string());
-    let spec = DesignSpec::by_name(&name)
-        .unwrap_or_else(|| panic!("unknown design {name:?}; see `table4` for the suite"));
-    let design = spec.instantiate();
+    let design = design_by_name(&name).unwrap_or_else(|e| panic!("{e}"));
     println!(
         "{}: {} instances, {} FFs, die {:.0}×{:.0} µm",
         design.name,

@@ -12,7 +12,7 @@
 //! ```
 
 use sllt::cts::{baseline, constraints::CtsConstraints, eval, flow::HierarchicalCts, ocv};
-use sllt::design::{DesignSpec, NetGenerator, SUITE};
+use sllt::design::{NetGenerator, SUITE};
 use sllt::obs::{Progress, ProgressEvent, ProgressSink, RecordingSink, TraceWriter};
 use sllt::route::{DelayModel, DmeOptions, TopologyScheme};
 use sllt::timing::{BufferLibrary, Technology};
@@ -298,9 +298,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     } else {
         let name =
             flag(args, "--design").ok_or("run needs --design <name> or --design-file <file>")?;
-        DesignSpec::by_name(&name)
-            .ok_or_else(|| format!("unknown design {name:?} (try `sllt suite`)"))?
-            .instantiate()
+        sllt::design::design_by_name(&name)?
     };
     let name = design.name.clone();
     let flow = flag(args, "--flow").unwrap_or_else(|| "ours".into());
