@@ -1,9 +1,10 @@
-//! Criterion: partitioning substrate — balanced K-means (exact MCF path
-//! and greedy large-n path), min-cost flow, and SA refinement.
+//! Criterion: partitioning substrate — balanced K-means (exact repair
+//! path and greedy large-n path), flow-sized register-bank cells, and SA
+//! refinement.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sllt_geom::Point;
-use sllt_partition::{balanced_kmeans, sa, MinCostFlow};
+use sllt_partition::{balanced_kmeans, sa};
 use sllt_rng::prelude::*;
 use std::time::Duration;
 
@@ -27,25 +28,40 @@ fn bench_kmeans(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_mcf(c: &mut Criterion) {
-    c.bench_function("mcf_assignment_100x8", |b| {
-        let pts = points(100, 9);
-        let centers = points(8, 10);
-        b.iter(|| {
-            let mut g = MinCostFlow::new(2 + 100 + 8);
-            let sink = 1 + 100 + 8;
-            for (i, p) in pts.iter().enumerate() {
-                g.add_edge(0, 1 + i, 1, 0.0);
-                for (c, ctr) in centers.iter().enumerate() {
-                    g.add_edge(1 + i, 101 + c, 1, p.dist(*ctr));
-                }
-            }
-            for c in 0..8 {
-                g.add_edge(101 + c, sink, 13, 0.0);
-            }
-            g.solve(0, sink)
+/// Register-bank cells the size the flow's median bisection hands to
+/// K-means (150–300 points, 3–5 dense banks, fanout-32 capacity). At
+/// seed 1 capacity binds inside the banks in both balance rounds of
+/// every cell (30–102 repair augmentations per clustering), so the
+/// group times the overflow repair the flow runs.
+fn bank_cell(n: usize, banks: usize, seed: u64) -> Vec<Point> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let origins: Vec<Point> = (0..banks)
+        .map(|_| Point::new(rng.random_range(0.0..150.0), rng.random_range(0.0..150.0)))
+        .collect();
+    (0..n)
+        .map(|i| {
+            let o = origins[i % banks];
+            Point::new(
+                o.x + rng.random_range(0.0..25.0),
+                o.y + rng.random_range(0.0..10.0),
+            )
         })
-    });
+        .collect()
+}
+
+fn bench_flow_cells(c: &mut Criterion) {
+    let mut g = c.benchmark_group("balanced_kmeans_flow_cell");
+    g.sample_size(20);
+    for (n, banks) in [(150usize, 3usize), (220, 4), (300, 5)] {
+        let pts = bank_cell(n, banks, 1);
+        let k = n.div_ceil(32) + 1;
+        g.bench_with_input(
+            BenchmarkId::from_parameter(format!("{n}x{banks}banks")),
+            &pts,
+            |b, pts| b.iter(|| balanced_kmeans(std::hint::black_box(pts), k, 32, 1)),
+        );
+    }
+    g.finish();
 }
 
 fn bench_sa(c: &mut Criterion) {
@@ -76,6 +92,6 @@ fn bench_sa(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().measurement_time(Duration::from_secs(3)).warm_up_time(Duration::from_secs(1));
-    targets = bench_kmeans, bench_mcf, bench_sa
+    targets = bench_kmeans, bench_flow_cells, bench_sa
 }
 criterion_main!(benches);

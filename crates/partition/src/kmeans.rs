@@ -14,15 +14,17 @@
 //!   ([`CenterGrid`]), scanning outward ring by ring with an exactness
 //!   bound, so each point examines only nearby candidates yet the
 //!   result is bit-identical to the full scan.
-//! * **Warm-started capacity assignment** — instead of re-solving the
-//!   dense point×centre bipartite flow from scratch every round, the
-//!   unconstrained nearest assignment (optimal ignoring capacity) seeds
-//!   a small *overflow-repair* flow that only routes the few points
-//!   that must move off overloaded centres. The repair is exact (its
-//!   optimum equals the dense solve's optimum); the dense solve is a
-//!   test-only oracle the repair is checked against.
+//! * **Overflow-repair capacity assignment** — instead of solving the
+//!   dense point×centre bipartite flow every round, the unconstrained
+//!   nearest assignment (optimal ignoring capacity) seeds a small
+//!   *overflow-repair* flow that only routes the few points that must
+//!   move off overloaded centres, solved on its implicit residual graph
+//!   (no edge list is built). The repair is exact (its optimum equals
+//!   the dense solve's optimum); the dense solve and the materialised
+//!   repair network are test-only oracles it is checked against.
 
 use crate::cost::weighted_pick;
+#[cfg(test)]
 use crate::mcf::MinCostFlow;
 use sllt_geom::Point;
 use sllt_rng::prelude::*;
@@ -524,24 +526,24 @@ fn lloyd(
 /// Capacity-exact assignment for flow-sized instances: repairs the
 /// unconstrained nearest assignment with a small overflow flow, whose
 /// optimum equals the dense bipartite flow's for the given centres.
+///
+/// Repair network: `source → overloaded centre` (overflow, 0) injects
+/// the units that must leave; `centre(near[i]) → gate_i` (1, 0) lets
+/// each point move at most once; `gate_i → c'` (1, d(i,c')−d(i,near[i]))
+/// prices the move (non-negative — `near` is the L1 optimum);
+/// `underloaded centre → sink` (slack, 0) absorbs them. Any feasible
+/// assignment decomposes into such point moves with exactly this total
+/// cost over the nearest baseline, and chains through full centres are
+/// representable, so the repair optimum equals the dense bipartite
+/// optimum (argument in DESIGN.md) — while augmentation count drops
+/// from n to the total overflow. [`crate::mcf::repair_overflow`] solves
+/// it without materialising it; `repair_assign_graph` (tests only)
+/// builds it edge by edge and must agree bit for bit.
 fn capacitated_assign(px: &[f64], py: &[f64], centers: &[Point], cap: usize) -> Vec<usize> {
     let k = centers.len();
-    let n = px.len();
     let cx: Vec<f64> = centers.iter().map(|c| c.x).collect();
     let cy: Vec<f64> = centers.iter().map(|c| c.y).collect();
-    let grid = (k >= PRUNE_MIN_K).then(|| CenterGrid::build(&cx, &cy));
-    let mut near = vec![0usize; n];
-    let mut near_d = vec![0.0f64; n];
-    let mut load = vec![0i64; k];
-    for i in 0..n {
-        let c = match &grid {
-            Some(g) => g.nearest_l1(px[i], py[i]),
-            None => nearest_scan_l1(&cx, &cy, px[i], py[i]),
-        };
-        near[i] = c;
-        near_d[i] = (px[i] - cx[c]).abs() + (py[i] - cy[c]).abs();
-        load[c] += 1;
-    }
+    let (near, near_d, load) = nearest_l1_assignment(px, py, &cx, &cy);
     if load.iter().all(|&l| l <= cap as i64) {
         // Every point already sits at its individual optimum and no
         // capacity binds: the nearest assignment IS the flow optimum.
@@ -549,25 +551,56 @@ fn capacitated_assign(px: &[f64], py: &[f64], centers: &[Point], cap: usize) -> 
         return near;
     }
     sllt_obs::count("partition.kmeans.assign_warm", 1);
-    repair_assign(px, py, &cx, &cy, cap, &near, &near_d, &load)
+    let w = move_costs(px, py, &cx, &cy, &near_d);
+    crate::mcf::repair_overflow(&w, k, cap as i64, &near, &load)
 }
 
-/// Overflow repair: min-cost flow that moves just enough points off
-/// overloaded centres to restore feasibility, starting from the
-/// unconstrained nearest assignment `near`.
-///
-/// Network: `source → overloaded centre` (overflow, 0) injects the
-/// units that must leave; `centre(near[i]) → gate_i` (1, 0) lets each
-/// point move at most once; `gate_i → c'` (1, d(i,c')−d(i,near[i]))
-/// prices the move (non-negative — `near` is the L1 optimum);
-/// `underloaded centre → sink` (slack, 0) absorbs them. Any feasible
-/// assignment decomposes into such point moves with exactly this total
-/// cost over the nearest baseline, and chains through full centres are
-/// representable, so the repair optimum equals the dense bipartite
-/// optimum (argument in DESIGN.md) — while augmentation count drops
-/// from n to the total overflow.
+/// Unconstrained L1-nearest assignment: each point's nearest centre,
+/// its distance, and the resulting load per centre.
+fn nearest_l1_assignment(
+    px: &[f64],
+    py: &[f64],
+    cx: &[f64],
+    cy: &[f64],
+) -> (Vec<usize>, Vec<f64>, Vec<i64>) {
+    let n = px.len();
+    let k = cx.len();
+    let grid = (k >= PRUNE_MIN_K).then(|| CenterGrid::build(cx, cy));
+    let mut near = vec![0usize; n];
+    let mut near_d = vec![0.0f64; n];
+    let mut load = vec![0i64; k];
+    for i in 0..n {
+        let c = match &grid {
+            Some(g) => g.nearest_l1(px[i], py[i]),
+            None => nearest_scan_l1(cx, cy, px[i], py[i]),
+        };
+        near[i] = c;
+        near_d[i] = (px[i] - cx[c]).abs() + (py[i] - cy[c]).abs();
+        load[c] += 1;
+    }
+    (near, near_d, load)
+}
+
+/// Row-major `n × k` move costs `(d(i,c) − d(i,near[i])).max(0)` of the
+/// repair network's `gate_i → c` arcs.
+fn move_costs(px: &[f64], py: &[f64], cx: &[f64], cy: &[f64], near_d: &[f64]) -> Vec<f64> {
+    let k = cx.len();
+    let mut w = Vec::with_capacity(px.len() * k);
+    for i in 0..px.len() {
+        for c in 0..k {
+            let d = (px[i] - cx[c]).abs() + (py[i] - cy[c]).abs();
+            w.push((d - near_d[i]).max(0.0));
+        }
+    }
+    w
+}
+
+/// The repair network of [`capacitated_assign`] materialised as a
+/// [`MinCostFlow`] edge list — the oracle the implicit solver must
+/// match exactly.
+#[cfg(test)]
 #[allow(clippy::too_many_arguments)]
-fn repair_assign(
+fn repair_assign_graph(
     px: &[f64],
     py: &[f64],
     cx: &[f64],
@@ -606,8 +639,6 @@ fn repair_assign(
         }
     }
     let (flow, _) = g.solve(0, sink);
-    // Invariant: Σ load = n ≤ k·cap (asserted at entry) implies total
-    // slack ≥ total overflow, and every gate reaches every centre.
     assert_eq!(flow, overflow, "repair flow must drain all overflow");
     let mut out = near.to_vec();
     for i in 0..n {
@@ -1381,6 +1412,154 @@ mod tests {
         assert!(repaired >= 24, "only {repaired}/48 instances overflowed");
     }
 
+    /// Points where equal move costs — the ties a different arc order
+    /// would break differently — are everywhere: snapped to a coarse
+    /// lattice, piled onto a few coincident sites, or packed into dense
+    /// register banks.
+    fn tie_heavy_points(rng: &mut StdRng, n: usize) -> Vec<Point> {
+        match rng.random_range(0..3u32) {
+            0 => (0..n)
+                .map(|_| {
+                    let (x, y): (u32, u32) = (rng.random_range(0..24), rng.random_range(0..24));
+                    Point::new(x as f64 * 5.0, y as f64 * 5.0)
+                })
+                .collect(),
+            1 => {
+                let sites: Vec<Point> = (0..rng.random_range(2usize..7))
+                    .map(|_| Point::new(rng.random_range(0.0..80.0), rng.random_range(0.0..80.0)))
+                    .collect();
+                (0..n)
+                    .map(|_| sites[rng.random_range(0..sites.len())])
+                    .collect()
+            }
+            _ => {
+                let banks: Vec<Point> = (0..rng.random_range(3usize..6))
+                    .map(|_| Point::new(rng.random_range(0.0..300.0), rng.random_range(0.0..300.0)))
+                    .collect();
+                (0..n)
+                    .map(|i| {
+                        let b = banks[i % banks.len()];
+                        let (x, y): (u32, u32) = (rng.random_range(0..12), rng.random_range(0..4));
+                        Point::new(b.x + x as f64 * 2.0, b.y + y as f64 * 2.5)
+                    })
+                    .collect()
+            }
+        }
+    }
+
+    /// Runs `f` under a fresh telemetry scope and returns its result with
+    /// the `partition.mcf.augmentations` it recorded.
+    fn with_augmentations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let reg = sllt_obs::Registry::new();
+        let out = {
+            let _scope = reg.install("repair");
+            f()
+        };
+        let augs = reg
+            .snapshot()
+            .metrics
+            .counter("partition.mcf.augmentations");
+        (out, augs)
+    }
+
+    /// One overflow repair solved both ways from the same centres:
+    /// `(implicit, graph)`, each with its augmentation count. `None`
+    /// when no centre overflows (no repair runs).
+    #[allow(clippy::type_complexity)]
+    fn repair_both(
+        pts: &[Point],
+        centers: &[Point],
+        cap: usize,
+    ) -> Option<((Vec<usize>, u64), (Vec<usize>, u64))> {
+        let px: Vec<f64> = pts.iter().map(|p| p.x).collect();
+        let py: Vec<f64> = pts.iter().map(|p| p.y).collect();
+        let cx: Vec<f64> = centers.iter().map(|c| c.x).collect();
+        let cy: Vec<f64> = centers.iter().map(|c| c.y).collect();
+        let (near, near_d, load) = nearest_l1_assignment(&px, &py, &cx, &cy);
+        if load.iter().all(|&l| l <= cap as i64) {
+            return None;
+        }
+        let implicit = with_augmentations(|| {
+            let w = move_costs(&px, &py, &cx, &cy, &near_d);
+            crate::mcf::repair_overflow(&w, cx.len(), cap as i64, &near, &load)
+        });
+        let graph = with_augmentations(|| {
+            repair_assign_graph(&px, &py, &cx, &cy, cap, &near, &near_d, &load)
+        });
+        Some((implicit, graph))
+    }
+
+    /// A tie-heavy overflowing instance drawn from `seed`: n in 20–300,
+    /// cap 8/13/32, k from ⌈n/cap⌉ up to +2, centres straight from
+    /// k-means++ seeding or settled by Lloyd.
+    fn tie_heavy_instance(seed: u64) -> (Vec<Point>, Vec<Point>, usize) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.random_range(20usize..301);
+        let cap = [8usize, 13, 32][rng.random_range(0..3usize)];
+        let k = (n.div_ceil(cap) + rng.random_range(0..3usize)).min(n);
+        let pts = tie_heavy_points(&mut rng, n);
+        let mut centers = seed_plus_plus(&pts, k, &mut rng);
+        if rng.random_range(0..2u32) == 1 {
+            let px: Vec<f64> = pts.iter().map(|p| p.x).collect();
+            let py: Vec<f64> = pts.iter().map(|p| p.y).collect();
+            let mut assignment = vec![0usize; n];
+            lloyd(
+                &pts,
+                &px,
+                &py,
+                &mut centers,
+                &mut assignment,
+                &KmeansConfig::default(),
+            );
+        }
+        (pts, centers, cap)
+    }
+
+    /// The implicit residual-graph repair is the materialised network's
+    /// solver run without the edge list: on 2 000 overflowing,
+    /// tie-heavy instances it must return the identical assignment
+    /// after the identical number of augmentations.
+    #[test]
+    fn implicit_repair_matches_graph_oracle() {
+        let mut checked = 0;
+        let mut seed = 0u64;
+        while checked < 2000 {
+            assert!(seed < 20_000, "only {checked} instances overflowed");
+            let (pts, centers, cap) = tie_heavy_instance(seed);
+            if let Some((implicit, graph)) = repair_both(&pts, &centers, cap) {
+                assert_eq!(implicit, graph, "seed={seed}: implicit repair diverged");
+                checked += 1;
+            }
+            seed += 1;
+        }
+    }
+
+    /// Ported from the dense solver's large-coordinate regression: a
+    /// cell offset 10⁴–10⁵ µm from the origin, where potentials are sums
+    /// of large distances and rounding residue pushed reduced costs
+    /// negative (an endless Dijkstra). The implicit repair must finish
+    /// and agree with the oracle.
+    #[test]
+    fn implicit_repair_terminates_at_large_coordinates() {
+        let (cols, pitch) = (17usize, 15.0);
+        for off in [1.0e4, 7905.0 * 4.0, 1.0e5] {
+            let points: Vec<Point> = (0..293)
+                .map(|i| {
+                    Point::new(
+                        off + (i % cols) as f64 * pitch,
+                        off + (i / cols) as f64 * pitch,
+                    )
+                })
+                .collect();
+            let centers: Vec<Point> = (0..14)
+                .map(|c| Point::new(off + (c % 4) as f64 * 60.0, off + (c / 4) as f64 * 60.0))
+                .collect();
+            let ((implicit, _), (graph, _)) =
+                repair_both(&points, &centers, 32).expect("the corner centres overflow");
+            assert_eq!(implicit, graph, "off={off}");
+        }
+    }
+
     #[test]
     fn grid_clustering_keeps_clusters_local() {
         // Two dense far-apart blobs with awkward counts: no cluster may
@@ -1587,6 +1766,20 @@ mod tests {
                 let py = rng.random_range(-span..2.0 * span);
                 prop_assert_eq!(grid.nearest_l1(px, py), nearest_scan_l1(&cx, &cy, px, py));
                 prop_assert_eq!(grid.nearest_l2sq(px, py), nearest_scan_l2sq(&cx, &cy, px, py));
+            }
+        });
+    }
+
+    /// Property: implicit repair ≡ materialised repair network,
+    /// assignment and augmentation count, on tie-heavy instances.
+    #[test]
+    #[cfg(feature = "proptest")]
+    fn proptest_implicit_repair_matches_graph_oracle() {
+        use proptest::prelude::*;
+        proptest!(|(seed in 0u64..1_000_000)| {
+            let (pts, centers, cap) = tie_heavy_instance(seed ^ 0x5EED_0000);
+            if let Some((implicit, graph)) = repair_both(&pts, &centers, cap) {
+                prop_assert_eq!(implicit, graph);
             }
         });
     }

@@ -4,7 +4,7 @@
 //! level by level:
 //!
 //! 1. **balanced K-means + min-cost flow** — Lloyd iterations give
-//!    geometric centres; a [min-cost-flow assignment](mcf) enforces the
+//!    geometric centres; a min-cost-flow assignment enforces the
 //!    per-cluster fanout capacity exactly (after Han–Kahng–Li, TCAD'18),
 //! 2. **latency/capacitance-adaptive evaluation** — the clustering cost
 //!    `Cost = p·σ(Cap) + q·σ(T)` of [`cost`] blends capacitance and delay
@@ -33,7 +33,7 @@
 
 pub mod cost;
 pub mod kmeans;
-pub mod mcf;
+mod mcf;
 pub mod sa;
 
 pub use cost::{cluster_cost, variance, weighted_pick};
@@ -42,5 +42,4 @@ pub use kmeans::{
     balanced_kmeans_grid_sharded_cfg, balanced_kmeans_restarts, balanced_kmeans_restarts_scored,
     nearest_scan_l1, nearest_scan_l2sq, silhouette, CenterGrid, KmeansConfig, Partition,
 };
-pub use mcf::MinCostFlow;
 pub use sa::{refine, refine_chains, refine_with_stop, PartitionConstraints, SaConfig};

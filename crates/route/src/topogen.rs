@@ -71,10 +71,15 @@ fn check_nonempty(net: &ClockNet) {
     assert!(!net.is_empty(), "topology generation over a sinkless net");
 }
 
-/// Below this sink count the brute-force scan wins on constant factor
-/// (no grid or heap setup); above it the nearest-pair engine takes over.
-/// Results are bit-identical either way, so the cutoff is pure tuning.
-const NAIVE_CUTOFF: usize = 32;
+/// Up to these sink counts the brute-force scan wins on constant factor
+/// (no grid or heap setup); above them the nearest-pair engine takes
+/// over. Results are bit-identical either way, so the cutoffs are pure
+/// tuning, set from a naive-vs-engine sweep over n = 24–64 on paper nets
+/// (75 µm box; EXPERIMENTS.md): the engine starts winning at ~46 sinks
+/// for Greedy-Dist and ~42 for Greedy-Merge, whose O(n³) rescan prices
+/// every pair with a merging-region distance.
+const DIST_NAIVE_CUTOFF: usize = 46;
+const MERGE_NAIVE_CUTOFF: usize = 42;
 
 /// Greedy-Dist cluster state: weighted centroid of the merged sinks.
 struct DistState {
@@ -133,7 +138,7 @@ fn dist_states(net: &ClockNet) -> Vec<DistState> {
 /// bit-identical to [`greedy_dist_naive`].
 pub fn greedy_dist(net: &ClockNet) -> Topology {
     check_nonempty(net);
-    if net.sinks.len() <= NAIVE_CUTOFF {
+    if net.sinks.len() <= DIST_NAIVE_CUTOFF {
         return greedy_dist_naive(net);
     }
     nnpair::agglomerate::<DistMetric>(dist_states(net))
@@ -231,7 +236,7 @@ fn merge_states(net: &ClockNet) -> Vec<MergeState> {
 /// to a full region extent smaller than the center distance.
 pub fn greedy_merge(net: &ClockNet) -> Topology {
     check_nonempty(net);
-    if net.sinks.len() <= NAIVE_CUTOFF {
+    if net.sinks.len() <= MERGE_NAIVE_CUTOFF {
         return greedy_merge_naive(net);
     }
     nnpair::agglomerate::<MergeMetric>(merge_states(net))
@@ -599,13 +604,14 @@ mod tests {
     ///
     /// The brute-force oracle is O(n³), so debug runs use reduced sizes;
     /// release runs cover n up to 2000 (`cargo test --release -p
-    /// sllt-route`).
+    /// sllt-route`). 43 and 47 sit just past the Greedy-Merge and
+    /// Greedy-Dist naive cutoffs, the smallest nets the engine serves.
     #[test]
     fn accelerated_greedy_matches_naive_bit_for_bit() {
         let sizes: &[usize] = if cfg!(debug_assertions) {
-            &[1, 2, 3, 33, 64, 150]
+            &[1, 2, 3, 43, 47, 64, 150]
         } else {
-            &[1, 2, 3, 33, 150, 500, 2000]
+            &[1, 2, 3, 43, 47, 150, 500, 2000]
         };
         for &n in sizes {
             for seed in 0..3 {

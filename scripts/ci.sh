@@ -94,15 +94,19 @@ cargo test -q --release -p sllt-cts --test checkpoint --test cancel
 
 echo "== partition fast path: worker determinism + repair/dense-flow equivalence (release)"
 # Parallel restarts, SA chains, and the sharded grid must build
-# bit-identical trees at 1/2/4 workers, and at flow sizes the overflow-
+# bit-identical trees at 1/2/4 workers; at flow sizes the overflow-
 # repair assignment must match the dense-flow test oracle (differing
-# only by cost-free L1 exchanges), so it builds the oracle's partitions.
+# only by cost-free L1 exchanges), so it builds the oracle's partitions;
+# and the implicit residual-graph repair must equal the materialised
+# repair network exactly (assignment and augmentation count).
 cargo test -q --release -p sllt-cts --test partition_fastpath
 cargo test -q --release -p sllt-partition --features proptest -- \
     repair_assignment_matches_dense_flow_at_flow_sizes \
     proptest_pruned_assignment_matches_scan \
     proptest_warm_assignment_cost_matches_cold \
-    proptest_reoptimize_matches_cold_solve
+    implicit_repair_matches_graph_oracle \
+    proptest_implicit_repair_matches_graph_oracle \
+    implicit_repair_terminates_at_large_coordinates
 
 echo "== CBS kernel worklists: oracle equivalence + deep-spine legalize (release)"
 # The dirty-node worklist passes (steinerize, relocate_steiner,
