@@ -11,7 +11,7 @@
 
 use sllt_bench::{emit_json, run_main, Table};
 use sllt_cts::flow::HierarchicalCts;
-use sllt_cts::{level_value, CollectingObserver, RecordingSink};
+use sllt_cts::{level_value, CollectingObserver, NullSink, RecordingSink};
 use sllt_obs::Value;
 use std::process::ExitCode;
 
@@ -54,7 +54,7 @@ fn run() -> Result<(), String> {
             ..HierarchicalCts::default()
         };
         let mut obs = CollectingObserver::new();
-        cts.run_with_observer(&design, &mut obs)
+        cts.run_with_telemetry(&design, &mut obs, &NullSink)
             .map_err(|e| format!("flow failed at {workers} workers: {e}"))?;
         let route_ms = obs.route_time().as_secs_f64() * 1e3;
         let total_ms = obs

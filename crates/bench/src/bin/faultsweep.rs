@@ -18,7 +18,9 @@
 
 use sllt_bench::arg_value;
 use sllt_cts::flow::HierarchicalCts;
-use sllt_cts::{CollectingObserver, FaultKind, FaultPlan, FaultStage, RecoveryPolicy, StageFault};
+use sllt_cts::{
+    CollectingObserver, FaultKind, FaultPlan, FaultStage, NullSink, RecoveryPolicy, StageFault,
+};
 use sllt_obs::Value;
 
 const WORKERS: [usize; 3] = [1, 2, 4];
@@ -111,7 +113,7 @@ fn run() -> Result<(), String> {
                 ..HierarchicalCts::default()
             };
             let mut obs = CollectingObserver::new();
-            match cts.run_with_observer(&design, &mut obs) {
+            match cts.run_with_telemetry(&design, &mut obs, &NullSink) {
                 Ok(tree) => {
                     if let Err(e) = tree.validate() {
                         eprintln!("FAIL {}: workers={workers}: invalid tree: {e}", sc.name);

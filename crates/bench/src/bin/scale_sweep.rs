@@ -19,7 +19,7 @@
 
 use sllt_bench::{arg_parse, arg_value, emit_json, peak_rss_bytes, run_main, Table};
 use sllt_cts::flow::HierarchicalCts;
-use sllt_cts::{CollectingObserver, FlowObserver, LevelReport};
+use sllt_cts::{CollectingObserver, FlowObserver, LevelReport, NullSink};
 use sllt_design::GridSpec;
 use sllt_obs::Value;
 use std::process::ExitCode;
@@ -38,9 +38,6 @@ struct Progress {
 }
 
 impl FlowObserver for Progress {
-    fn on_flow_start(&mut self, num_sinks: usize, workers: usize) {
-        self.inner.on_flow_start(num_sinks, workers);
-    }
     fn on_level(&mut self, report: &LevelReport) {
         if self.live {
             eprintln!(
@@ -102,7 +99,7 @@ fn run() -> Result<(), String> {
         };
         let t0 = Instant::now();
         let tree = cts
-            .run_with_observer(&design, &mut obs)
+            .run_with_telemetry(&design, &mut obs, &NullSink)
             .map_err(|e| format!("grid{n}: flow failed: {e}"))?;
         let obs = obs.inner;
         let wall = t0.elapsed().as_secs_f64();

@@ -42,7 +42,7 @@ use sllt_obs::journal::{fnv1a64, read_journal};
 use sllt_obs::vfs::{real_fs, FaultConfig, FaultFs, Vfs};
 use sllt_obs::{DurableAppender, JournalProgress, Value};
 use sllt_server::backoff::{backoff_ms, BASE_MS, CAP_MS};
-use sllt_server::jobs::config_by_name;
+use sllt_server::jobs::{config_by_name, run_journaled};
 use sllt_server::supervise::{run_supervised, SuperviseOpts};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -143,19 +143,7 @@ fn child_run(job: &str) -> Result<(), u8> {
 
     let ckpt = ckpt_path(&out_dir, job);
     let t0 = Instant::now();
-    let result = if ckpt.exists() {
-        match cts.resume(&design, &ckpt) {
-            // A stale or mismatched journal (config drift, corrupt tail
-            // beyond tolerance) is discarded, not fatal: start fresh.
-            Err(CtsError::Checkpoint { .. }) => {
-                std::fs::remove_file(&ckpt).ok();
-                cts.run_checkpointed(&design, &ckpt)
-            }
-            other => other,
-        }
-    } else {
-        cts.run_checkpointed(&design, &ckpt)
-    };
+    let result = run_journaled(&cts, &design, &ckpt);
 
     match result {
         Ok(tree) => {

@@ -5,7 +5,7 @@
 //!
 //! * **Phase A — fault schedules.** `--schedules N` randomized
 //!   [`FaultFs`] schedules (ENOSPC/EIO/short/torn at varying rates and
-//!   onsets) over `run_checkpointed`, asserting the flow degrades
+//!   onsets) over journaled runs, asserting the flow degrades
 //!   rather than aborts, the produced tree is bit-identical to a clean
 //!   reference, and the surviving journal prefix is readable. Each
 //!   schedule then gets a randomized **kill point**: the checkpoint
@@ -29,12 +29,13 @@
 //! single machine-readable summary line.
 
 use sllt_bench::{arg_flag, arg_parse, arg_value};
-use sllt_cts::{CtsError, HierarchicalCts};
+use sllt_cts::{HierarchicalCts, Journal};
 use sllt_design::Design;
 use sllt_obs::journal::read_journal;
 use sllt_obs::vfs::{FaultConfig, FaultFs};
 use sllt_obs::Value;
 use sllt_rng::SplitMix64;
+use sllt_server::jobs::run_journaled;
 use sllt_tree::ClockTree;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -151,7 +152,8 @@ fn fault_schedule_phase(tally: &mut Tally, design: &Design, schedules: u64, seed
         let fs = FaultFs::over_real(FaultConfig::parse(&spec).expect("generated spec parses"));
         let mut faulty = cts();
         faulty.vfs = Arc::new(fs.clone());
-        match faulty.run_checkpointed(design, &path) {
+        faulty.journal = Some(Journal::Fresh(path.clone()));
+        match faulty.run(design) {
             Ok(tree) => tally.check(tree == reference, || {
                 format!("schedule {i} ({spec}): degraded run diverged from the clean tree")
             }),
@@ -199,25 +201,13 @@ fn kill_point_resume(
             bytes.len()
         )
     });
-    let clean = cts();
-    match clean.resume(design, path) {
+    // The prefix either resumes, or is too mangled to trust (e.g. the
+    // meta record itself is gone) and is refused and rebuilt fresh, as
+    // a daemon job would. Either way the tree must match.
+    match run_journaled(&cts(), design, path) {
         Ok(tree) => tally.check(&tree == reference, || {
             format!("schedule {i}: resume after cut at {cut} diverged from the clean tree")
         }),
-        Err(CtsError::Checkpoint { .. }) => {
-            // The prefix was too mangled to trust (e.g. the meta record
-            // itself is gone): refusing is correct, and a fresh run on
-            // the same path must still match.
-            std::fs::remove_file(path).ok();
-            match clean.run_checkpointed(design, path) {
-                Ok(tree) => tally.check(&tree == reference, || {
-                    format!("schedule {i}: fresh rebuild after refused prefix diverged")
-                }),
-                Err(e) => tally.check(false, || {
-                    format!("schedule {i}: fresh rebuild after refused prefix failed: {e}")
-                }),
-            }
-        }
         Err(e) => tally.check(false, || {
             format!("schedule {i}: resume after cut at {cut} aborted: {e}")
         }),

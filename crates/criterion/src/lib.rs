@@ -8,6 +8,11 @@
 //! samples (each sized to fit `measurement_time`) and reports
 //! mean / median / standard deviation per iteration.
 //!
+//! As with criterion, the first non-flag command-line argument selects
+//! benchmarks: only those whose full `group/id` name contains it run
+//! (`cargo bench --bench partition -- balanced_kmeans_flow_cell`).
+//! Flags are ignored.
+//!
 //! Benches are feature-gated (`--features criterion` on `sllt-bench`) so
 //! the tier-1 build never needs them; see `DESIGN.md`.
 
@@ -20,6 +25,7 @@ pub struct Criterion {
     measurement_time: Duration,
     warm_up_time: Duration,
     sample_size: usize,
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
@@ -28,11 +34,19 @@ impl Default for Criterion {
             measurement_time: Duration::from_secs(3),
             warm_up_time: Duration::from_secs(1),
             sample_size: 50,
+            filter: None,
         }
     }
 }
 
 impl Criterion {
+    /// Takes the benchmark-name filter from the process arguments (what
+    /// [`criterion_group!`] does for every group).
+    pub fn configure_from_args(mut self) -> Self {
+        self.filter = name_filter(std::env::args().skip(1));
+        self
+    }
+
     /// Total time budget for one benchmark's samples.
     pub fn measurement_time(mut self, d: Duration) -> Self {
         self.measurement_time = d;
@@ -62,6 +76,9 @@ impl Criterion {
 
     /// Runs one benchmark outside any group.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, mut f: F) -> &mut Self {
+        if !selects(self.filter.as_deref(), id) {
+            return self;
+        }
         run_bench(
             id,
             self.warm_up_time,
@@ -95,6 +112,9 @@ impl BenchmarkGroup<'_> {
     ) -> &mut Self {
         let id = id.into();
         let label = format!("{}/{}", self.name, id.0);
+        if !selects(self.criterion.filter.as_deref(), &label) {
+            return self;
+        }
         run_bench(
             &label,
             self.criterion.warm_up_time,
@@ -166,6 +186,18 @@ impl Bencher {
     }
 }
 
+/// The first argument that is not a flag, as criterion reads its
+/// benchmark filter.
+fn name_filter(args: impl IntoIterator<Item = String>) -> Option<String> {
+    args.into_iter().find(|a| !a.starts_with('-'))
+}
+
+/// Whether `filter` selects the benchmark named `label` (its full
+/// `group/id` name): any substring matches.
+fn selects(filter: Option<&str>, label: &str) -> bool {
+    filter.is_none_or(|f| label.contains(f))
+}
+
 fn run_bench<F: FnMut(&mut Bencher)>(
     label: &str,
     warm_up: Duration,
@@ -234,7 +266,7 @@ fn fmt_time(secs: f64) -> String {
 macro_rules! criterion_group {
     (name = $name:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
         pub fn $name() {
-            let mut criterion: $crate::Criterion = $config;
+            let mut criterion: $crate::Criterion = $config.configure_from_args();
             $($target(&mut criterion);)+
         }
     };
@@ -277,6 +309,18 @@ mod tests {
         });
         g.finish();
         assert!(calls > 0);
+    }
+
+    #[test]
+    fn filter_is_the_first_non_flag_argument_and_matches_substrings() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(name_filter(args(&["--bench"])), None);
+        let filter = name_filter(args(&["--bench", "flow_cell", "x"]));
+        assert_eq!(filter.as_deref(), Some("flow_cell"));
+        assert!(selects(Some("flow_cell"), "partition/kmeans_flow_cell/150"));
+        assert!(!selects(Some("flow_cell"), "partition/sa_refine_500"));
+        assert!(selects(Some("kmeans/2"), "kmeans/200"), "spans group/id");
+        assert!(selects(None, "anything"), "no filter runs everything");
     }
 
     #[test]

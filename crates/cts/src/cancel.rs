@@ -11,7 +11,7 @@
 //!
 //! Work committed before the cancellation is untouched: with
 //! checkpointing enabled the journal still holds every completed level
-//! and [`HierarchicalCts::resume`](crate::flow::HierarchicalCts::resume)
+//! and a [`Journal::Resume`](crate::flow::Journal::Resume) run
 //! continues from it.
 //!
 //! The token is also the process-interrupt hook: [`install_signals`]

@@ -56,7 +56,8 @@ fn io_err(context: &str, e: impl std::fmt::Display) -> CtsError {
 ///
 /// Hashes every flow field that influences the built tree — notably NOT
 /// [`workers`](HierarchicalCts::workers) (trees are bit-identical at any
-/// worker count) and not the cancel token — plus the design's name,
+/// worker count) and not the run handles (cancel token, filesystem seam,
+/// progress sink, journal path) — plus the design's name,
 /// clock root, and every sink's coordinate/capacitance bit pattern.
 /// `Debug` formatting of f64 prints the shortest round-trip form, so the
 /// hash is exact, not approximate.
@@ -762,6 +763,7 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flow::Journal;
     use sllt_tree::ClockTree;
 
     fn node(x: f64, kind_cluster: bool, idx: usize) -> LevelNode {
@@ -926,6 +928,21 @@ mod tests {
         let mut w4 = base.clone();
         w4.workers = 4;
         assert_eq!(fp, fingerprint(&w4, &design), "workers must not matter");
+        // A journal resumes from wherever it was moved: neither the mode
+        // nor the path may enter the fingerprint.
+        for journal in [
+            Journal::Fresh("a/run.ckpt".into()),
+            Journal::Resume("a/run.ckpt".into()),
+            Journal::Resume("/elsewhere/moved.ckpt".into()),
+        ] {
+            let mut journaled = base.clone();
+            journaled.journal = Some(journal);
+            assert_eq!(
+                fp,
+                fingerprint(&journaled, &design),
+                "journal must not matter"
+            );
+        }
         let mut seeded = base.clone();
         seeded.seed ^= 1;
         assert_ne!(fp, fingerprint(&seeded, &design), "seed must matter");

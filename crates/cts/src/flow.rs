@@ -18,9 +18,15 @@
 //!
 //! When one node remains, the tree is assembled ([`crate::assemble`])
 //! under the design's clock root and long wires get critical-wirelength
-//! repeaters. Each level emits a [`LevelReport`] through the
-//! [`FlowObserver`] the caller passes to
-//! [`HierarchicalCts::run_with_observer`].
+//! repeaters.
+//!
+//! There are two ways in: [`HierarchicalCts::run`] returns the tree;
+//! [`HierarchicalCts::run_with_telemetry`] also reports each level and
+//! the assembly to a [`FlowObserver`] and records spans and counters
+//! into a [`TelemetrySink`]. The rest of a run — the crash-safe level
+//! [`journal`](HierarchicalCts::journal), cancellation, the filesystem
+//! seam, live progress — is set on the engine's fields, so every
+//! combination works through either entry point.
 
 use crate::assemble::{assemble, BuiltCluster};
 use crate::cancel::CancelToken;
@@ -41,6 +47,7 @@ use sllt_obs::{NullSink, Progress, ProgressEvent, TelemetrySink, WorkBudget};
 use sllt_route::TopologyScheme;
 use sllt_timing::{BufferLibrary, Technology};
 use sllt_tree::ClockTree;
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -188,6 +195,30 @@ pub struct HierarchicalCts {
     /// every emitted fraction is still deterministic, and successful
     /// runs emit a worker-count-independent event set.
     pub progress: Progress,
+    /// Crash-safe level journal. `None` (default) runs in memory only.
+    /// Like the other run handles it is excluded from the checkpoint
+    /// fingerprint, so a journal resumes from wherever it was moved.
+    pub journal: Option<Journal>,
+}
+
+/// Where and how a run keeps its crash-safe level journal (see
+/// `DESIGN.md`, *Durability model*).
+#[derive(Debug, Clone)]
+pub enum Journal {
+    /// Start a fresh journal at the path, truncating any existing file,
+    /// and append one record per committed level. If the process dies —
+    /// or the run is [cancelled](HierarchicalCts::cancel) — rerunning
+    /// with [`Resume`](Journal::Resume) on the same path and
+    /// configuration continues from the last committed level and yields
+    /// a tree bit-identical to an uninterrupted run, at any worker count.
+    Fresh(PathBuf),
+    /// Validate the journal against the configuration and the design
+    /// (fingerprint), restore the last committed level, and continue,
+    /// appending to the same file. A torn final record (crash
+    /// mid-append) is discarded and rebuilt. Restored levels are
+    /// replayed through [`FlowObserver::on_resumed_level`] before live
+    /// reports begin.
+    Resume(PathBuf),
 }
 
 impl Default for HierarchicalCts {
@@ -219,6 +250,7 @@ impl Default for HierarchicalCts {
             cancel: CancelToken::default(),
             vfs: real_fs(),
             progress: Progress::none(),
+            journal: None,
         }
     }
 }
@@ -256,17 +288,6 @@ impl FlowContext {
 /// at least halve the node count.
 const MAX_LEVELS: usize = 40;
 
-/// How [`HierarchicalCts::run_core`] interacts with a checkpoint
-/// journal.
-enum CheckpointMode<'p> {
-    /// No journal (the plain [`run`](HierarchicalCts::run) family).
-    Off,
-    /// Start a fresh journal at the path, truncating any existing file.
-    Fresh(&'p std::path::Path),
-    /// Load the journal, restore the last committed level, and append.
-    Resume(&'p std::path::Path),
-}
-
 impl HierarchicalCts {
     /// Runs the flow on a design and returns the assembled, buffered
     /// clock tree. Sink nodes carry the design's sink indices.
@@ -291,114 +312,33 @@ impl HierarchicalCts {
     /// ([`CtsError::ClusterRoute`], [`CtsError::ClusterPanicked`],
     /// [`CtsError::StageDeadline`]) when recovery is disabled, and
     /// [`CtsError::LadderExhausted`] when it is enabled but every rung
-    /// failed.
+    /// failed, and [`CtsError::Checkpoint`] when the
+    /// [`journal`](Self::journal) cannot be created, or a
+    /// [`Journal::Resume`] journal is unreadable, corrupt beyond its
+    /// final record, or was written by a different configuration or
+    /// design.
     pub fn run(&self, design: &Design) -> Result<ClockTree, CtsError> {
-        self.run_with_observer(design, &mut NullObserver)
+        self.run_with_telemetry(design, &mut NullObserver, &NullSink)
     }
 
     /// [`run`](Self::run), reporting each level and the final assembly
-    /// to `observer` as the flow progresses.
-    pub fn run_with_observer(
-        &self,
-        design: &Design,
-        observer: &mut dyn FlowObserver,
-    ) -> Result<ClockTree, CtsError> {
-        self.run_with_telemetry(design, observer, &NullSink)
-    }
-
-    /// [`run_with_observer`](Self::run_with_observer), additionally
-    /// recording spans and metrics into `sink`. With [`NullSink`] every
-    /// instrumentation site reduces to one relaxed atomic load; with a
+    /// to `observer` as the flow progresses and recording spans and
+    /// metrics into `sink`. With [`NullSink`] every instrumentation site
+    /// reduces to one relaxed atomic load; with a
     /// [`RecordingSink`](sllt_obs::RecordingSink) the run's span tree
     /// and counters land in the sink's registry for post-run inspection
-    /// or run-record serialization. Telemetry is observational only —
-    /// the built tree is bit-identical either way, at any worker count.
+    /// or run-record serialization. Observers and telemetry are
+    /// observational only — the built tree is bit-identical either way,
+    /// at any worker count.
+    ///
+    /// # Errors
+    ///
+    /// As for [`run`](Self::run).
     pub fn run_with_telemetry(
         &self,
         design: &Design,
         observer: &mut dyn FlowObserver,
         sink: &dyn TelemetrySink,
-    ) -> Result<ClockTree, CtsError> {
-        self.run_core(design, observer, sink, CheckpointMode::Off)
-    }
-
-    /// [`run`](Self::run), writing a crash-safe level checkpoint to
-    /// `journal` after every committed level (truncating any existing
-    /// file first). If the process dies — or the run is
-    /// [cancelled](Self::cancel) — [`resume`](Self::resume) with the
-    /// same configuration continues from the last committed level and
-    /// produces a tree bit-identical to an uninterrupted run, at any
-    /// worker count. See `DESIGN.md`, *Durability model*.
-    pub fn run_checkpointed(
-        &self,
-        design: &Design,
-        journal: &std::path::Path,
-    ) -> Result<ClockTree, CtsError> {
-        self.run_core(
-            design,
-            &mut NullObserver,
-            &NullSink,
-            CheckpointMode::Fresh(journal),
-        )
-    }
-
-    /// [`run_checkpointed`](Self::run_checkpointed) with a progress
-    /// observer.
-    pub fn run_checkpointed_with_observer(
-        &self,
-        design: &Design,
-        journal: &std::path::Path,
-        observer: &mut dyn FlowObserver,
-    ) -> Result<ClockTree, CtsError> {
-        self.run_core(design, observer, &NullSink, CheckpointMode::Fresh(journal))
-    }
-
-    /// Resumes an interrupted [`run_checkpointed`](Self::run_checkpointed)
-    /// from its journal: validates the journal against this configuration
-    /// and the design (fingerprint), restores the last committed level,
-    /// and continues — appending new level checkpoints to the same file.
-    /// A torn final record (crash mid-append) is discarded and rebuilt.
-    ///
-    /// # Errors
-    ///
-    /// [`CtsError::Checkpoint`] when the journal is unreadable, corrupt
-    /// beyond its final record, or was written by a different
-    /// configuration or design; plus everything [`run`](Self::run) can
-    /// return for the remaining levels.
-    pub fn resume(
-        &self,
-        design: &Design,
-        journal: &std::path::Path,
-    ) -> Result<ClockTree, CtsError> {
-        self.run_core(
-            design,
-            &mut NullObserver,
-            &NullSink,
-            CheckpointMode::Resume(journal),
-        )
-    }
-
-    /// [`resume`](Self::resume) with a progress observer. Checkpointed
-    /// levels are replayed through
-    /// [`FlowObserver::on_resumed_level`] before live reports begin.
-    pub fn resume_with_observer(
-        &self,
-        design: &Design,
-        journal: &std::path::Path,
-        observer: &mut dyn FlowObserver,
-    ) -> Result<ClockTree, CtsError> {
-        self.run_core(design, observer, &NullSink, CheckpointMode::Resume(journal))
-    }
-
-    /// The single engine loop behind every public entry point: validate,
-    /// optionally restore checkpointed state, build levels (checkpointing
-    /// each commit), assemble.
-    fn run_core(
-        &self,
-        design: &Design,
-        observer: &mut dyn FlowObserver,
-        sink: &dyn TelemetrySink,
-        mode: CheckpointMode<'_>,
     ) -> Result<ClockTree, CtsError> {
         self.constraints.validate()?;
         if design.sinks.is_empty() {
@@ -426,7 +366,6 @@ impl HierarchicalCts {
         // order, so every span closes before the scope merges its shard.
         let _scope = sink.registry().map(|r| r.install("main"));
         let _flow_span = sllt_obs::span("cts.flow");
-        observer.on_flow_start(design.sinks.len(), self.effective_workers(usize::MAX));
         self.progress.emit(&ProgressEvent::FlowStart {
             sinks: design.sinks.len(),
         });
@@ -438,10 +377,10 @@ impl HierarchicalCts {
         let mut budget = WorkBudget::new();
 
         let mut cx = FlowContext::seed(design);
-        let mut writer = match mode {
-            CheckpointMode::Off => None,
-            CheckpointMode::Fresh(path) => Some(CheckpointWriter::create(path, self, design)?),
-            CheckpointMode::Resume(path) => {
+        let mut writer = match &self.journal {
+            None => None,
+            Some(Journal::Fresh(path)) => Some(CheckpointWriter::create(path, self, design)?),
+            Some(Journal::Resume(path)) => {
                 let ckpt = Checkpoint::load(path, self, design)?;
                 // Replay the committed history, then continue from the
                 // restored state. An empty journal (meta only) resumes
@@ -503,7 +442,6 @@ impl HierarchicalCts {
                 if sllt_obs::enabled() {
                     sllt_obs::count("cts.storage.degraded", 1);
                 }
-                observer.on_storage_degraded(cx.level, &detail);
                 self.progress.emit(&ProgressEvent::StorageDegraded {
                     level: cx.level,
                     detail,

@@ -60,7 +60,7 @@ pub use constraints::CtsConstraints;
 pub use error::CtsError;
 pub use eval::{evaluate, TreeReport};
 pub use fault::{FaultKind, FaultPlan, FaultStage, StageFault};
-pub use flow::{HierarchicalCts, TopologyKind};
+pub use flow::{HierarchicalCts, Journal, TopologyKind};
 pub use ocv::{derate_skew, ocv_analysis, OcvModel, OcvReport};
 pub use recovery::{Downgrade, LadderStep, RecoveryPolicy};
 pub use report::{

@@ -79,19 +79,13 @@ pub struct AssembleReport {
 /// Receives engine progress. All methods default to no-ops, so an
 /// observer implements only what it cares about.
 pub trait FlowObserver {
-    /// The flow is starting over `num_sinks` flip-flops with the route
-    /// stage configured for `workers` threads.
-    fn on_flow_start(&mut self, num_sinks: usize, workers: usize) {
-        let _ = (num_sinks, workers);
-    }
-
     /// One level finished.
     fn on_level(&mut self, report: &LevelReport) {
         let _ = report;
     }
 
-    /// A level restored from a checkpoint during
-    /// [`resume`](crate::flow::HierarchicalCts::resume) — replayed in
+    /// A level restored from a checkpoint by a
+    /// [`Journal::Resume`](crate::flow::Journal::Resume) run — replayed in
     /// order before any freshly built level reports. Defaults to
     /// [`on_level`](Self::on_level) so collectors see a resumed run as a
     /// complete level sequence; override to distinguish replay from live
@@ -103,15 +97,6 @@ pub trait FlowObserver {
     /// The tree is assembled and buffered.
     fn on_assemble(&mut self, report: &AssembleReport) {
         let _ = report;
-    }
-
-    /// A checkpoint/journal write failed at `level` and the flow
-    /// degraded to in-memory-only operation (see
-    /// [`HierarchicalCts::vfs`](crate::HierarchicalCts::vfs)). Nonfatal:
-    /// the run continues, but a crash after this point loses
-    /// resumability. Defaults to a no-op.
-    fn on_storage_degraded(&mut self, level: usize, detail: &str) {
-        let _ = (level, detail);
     }
 }
 
@@ -346,7 +331,6 @@ mod tests {
     #[test]
     fn null_observer_is_a_no_op() {
         let mut obs = NullObserver;
-        obs.on_flow_start(5, 1);
         obs.on_level(&level(0, 1.0));
     }
 }

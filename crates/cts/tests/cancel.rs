@@ -6,7 +6,7 @@
 //! checkpoint journal left behind is loadable and resumes to the exact
 //! reference tree — at 1, 2, and 4 workers.
 
-use sllt_cts::flow::HierarchicalCts;
+use sllt_cts::flow::{HierarchicalCts, Journal};
 use sllt_cts::{CancelToken, Checkpoint, CtsError};
 use sllt_design::Design;
 use sllt_geom::{Point, Rect};
@@ -128,8 +128,9 @@ fn randomized_fire_points_stop_within_bounded_work_and_resume_exactly() {
         for &fire_at in &fire_points {
             let token = CancelToken::fire_after_polls(fire_at.max(1));
             let path = journal_path(&format!("w{workers}_f{fire_at}"));
-            let cts = flow(workers, token.clone());
-            let result = cts.run_checkpointed(&design, &path);
+            let mut cts = flow(workers, token.clone());
+            cts.journal = Some(Journal::Fresh(path.clone()));
+            let result = cts.run(&design);
             match result {
                 Err(CtsError::Cancelled) => {
                     // Bounded latency: after the token fires, each of
@@ -142,10 +143,11 @@ fn randomized_fire_points_stop_within_bounded_work_and_resume_exactly() {
                         "workers={workers} fire_at={fire_at}: {after} polls after fire"
                     );
                     // The journal is valid and resumes to the reference.
-                    let resume_cts = flow(workers, CancelToken::new());
+                    let mut resume_cts = flow(workers, CancelToken::new());
+                    resume_cts.journal = Some(Journal::Resume(path.clone()));
                     let ckpt = Checkpoint::load(&path, &resume_cts, &design).unwrap();
                     assert!(ckpt.torn().is_none(), "cancel never tears the journal");
-                    let tree = resume_cts.resume(&design, &path).unwrap();
+                    let tree = resume_cts.run(&design).unwrap();
                     assert_eq!(
                         tree, reference,
                         "workers={workers} fire_at={fire_at}: resume diverged"

@@ -2,16 +2,16 @@
 //!
 //! Simulates a crash at every point a real kill can leave the journal —
 //! after any record boundary and mid-record — and asserts that
-//! [`HierarchicalCts::resume`] rebuilds a tree bit-identical to the
+//! a [`Journal::Resume`] run rebuilds a tree bit-identical to the
 //! uninterrupted reference. The small synthetic-design cases run in
 //! every profile; the ISCAS sweeps (s35932, s38584 × 1/2/4 workers) are
 //! release-only and exercised by `scripts/ci.sh`.
 
-use sllt_cts::flow::HierarchicalCts;
+use sllt_cts::flow::{HierarchicalCts, Journal};
 use sllt_cts::{
     Checkpoint, CtsError, FaultKind, FaultPlan, FaultStage, RecoveryPolicy, StageFault,
 };
-use sllt_cts::{CollectingObserver, FlowObserver, LevelReport};
+use sllt_cts::{CollectingObserver, FlowObserver, LevelReport, NullSink};
 use sllt_design::{Design, DesignSpec};
 use sllt_geom::{Point, Rect};
 use sllt_tree::{ClockTree, Sink};
@@ -38,6 +38,22 @@ fn grid_design() -> Design {
 
 fn journal_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("sllt_ckpt_{tag}_{}.jsonl", std::process::id()))
+}
+
+/// `cts` starting a fresh journal at `path`.
+fn fresh(cts: &HierarchicalCts, path: &Path) -> HierarchicalCts {
+    HierarchicalCts {
+        journal: Some(Journal::Fresh(path.into())),
+        ..cts.clone()
+    }
+}
+
+/// `cts` resuming the journal at `path`.
+fn resuming(cts: &HierarchicalCts, path: &Path) -> HierarchicalCts {
+    HierarchicalCts {
+        journal: Some(Journal::Resume(path.into())),
+        ..cts.clone()
+    }
 }
 
 /// Byte offsets of every record boundary in the journal (after the
@@ -81,7 +97,7 @@ fn resume_truncated(
     reference: &ClockTree,
 ) -> Result<(), CtsError> {
     std::fs::write(path, &full[..len]).unwrap();
-    let tree = cts.resume(design, path)?;
+    let tree = resuming(cts, path).run(design)?;
     assert_eq!(
         &tree, reference,
         "resume from a journal cut at byte {len} diverged"
@@ -98,7 +114,7 @@ fn checkpointed_run_matches_plain_run() {
     };
     let reference = cts.run(&design).unwrap();
     let path = journal_path("plain");
-    let tree = cts.run_checkpointed(&design, &path).unwrap();
+    let tree = fresh(&cts, &path).run(&design).unwrap();
     assert_eq!(tree, reference, "checkpointing must be observational");
     // The journal parses and carries one record per level.
     let ckpt = Checkpoint::load(&path, &cts, &design).unwrap();
@@ -115,7 +131,7 @@ fn resume_from_every_boundary_and_mid_record_rebuilds_the_same_tree() {
         ..HierarchicalCts::default()
     };
     let path = journal_path("cut");
-    let reference = cts.run_checkpointed(&design, &path).unwrap();
+    let reference = fresh(&cts, &path).run(&design).unwrap();
     let full = std::fs::read(&path).unwrap();
     let cuts = boundaries(&full);
     assert!(cuts.len() >= 3, "expected meta + at least two levels");
@@ -154,18 +170,18 @@ fn resume_after_kill_appends_a_journal_that_resumes_again() {
         ..HierarchicalCts::default()
     };
     let path = journal_path("rekill");
-    let reference = cts.run_checkpointed(&design, &path).unwrap();
+    let reference = fresh(&cts, &path).run(&design).unwrap();
     let full = std::fs::read(&path).unwrap();
     let cuts = boundaries(&full);
     // Cut mid-way through the second level record.
     let cut = cuts[2] + 7;
     std::fs::write(&path, &full[..cut.min(full.len())]).unwrap();
-    assert_eq!(cts.resume(&design, &path).unwrap(), reference);
+    assert_eq!(resuming(&cts, &path).run(&design).unwrap(), reference);
     // The resumed run rewrote a complete journal; kill it again.
     let rewritten = std::fs::read(&path).unwrap();
     let cuts2 = boundaries(&rewritten);
     std::fs::write(&path, &rewritten[..cuts2[cuts2.len() / 2]]).unwrap();
-    assert_eq!(cts.resume(&design, &path).unwrap(), reference);
+    assert_eq!(resuming(&cts, &path).run(&design).unwrap(), reference);
     std::fs::remove_file(&path).ok();
 }
 
@@ -192,8 +208,8 @@ fn resume_replays_committed_levels_through_the_observer() {
     };
     let path = journal_path("replay");
     let mut obs = CollectingObserver::new();
-    let reference = cts
-        .run_checkpointed_with_observer(&design, &path, &mut obs)
+    let reference = fresh(&cts, &path)
+        .run_with_telemetry(&design, &mut obs, &NullSink)
         .unwrap();
     let levels = obs.levels.len();
     assert!(levels >= 2);
@@ -203,8 +219,8 @@ fn resume_replays_committed_levels_through_the_observer() {
     let cuts = boundaries(&full);
     std::fs::write(&path, &full[..cuts[2]]).unwrap();
     let mut counting = Counting::default();
-    let tree = cts
-        .resume_with_observer(&design, &path, &mut counting)
+    let tree = resuming(&cts, &path)
+        .run_with_telemetry(&design, &mut counting, &NullSink)
         .unwrap();
     assert_eq!(tree, reference);
     assert_eq!(counting.replayed, vec![0], "one committed level replays");
@@ -217,7 +233,8 @@ fn resume_replays_committed_levels_through_the_observer() {
     // a CollectingObserver sees the full sequence.
     std::fs::write(&path, &full[..cuts[2]]).unwrap();
     let mut collected = CollectingObserver::new();
-    cts.resume_with_observer(&design, &path, &mut collected)
+    resuming(&cts, &path)
+        .run_with_telemetry(&design, &mut collected, &NullSink)
         .unwrap();
     assert_eq!(collected.levels.len(), levels);
     assert_eq!(
@@ -235,7 +252,7 @@ fn fingerprint_guards_config_and_design_drift() {
         ..HierarchicalCts::default()
     };
     let path = journal_path("fp");
-    cts.run_checkpointed(&design, &path).unwrap();
+    fresh(&cts, &path).run(&design).unwrap();
 
     // Same journal, different seed: refuse.
     let reseeded = HierarchicalCts {
@@ -243,7 +260,7 @@ fn fingerprint_guards_config_and_design_drift() {
         workers: 1,
         ..HierarchicalCts::default()
     };
-    match reseeded.resume(&design, &path) {
+    match resuming(&reseeded, &path).run(&design) {
         Err(CtsError::Checkpoint { detail }) => {
             assert!(detail.contains("fingerprint"), "{detail}")
         }
@@ -253,7 +270,7 @@ fn fingerprint_guards_config_and_design_drift() {
     let mut other = grid_design();
     other.sinks[0].cap_ff += 0.5;
     assert!(matches!(
-        cts.resume(&other, &path),
+        resuming(&cts, &path).run(&other),
         Err(CtsError::Checkpoint { .. })
     ));
     // Different worker count: fine — trees are worker-invariant.
@@ -262,7 +279,7 @@ fn fingerprint_guards_config_and_design_drift() {
         ..HierarchicalCts::default()
     };
     let reference = cts.run(&design).unwrap();
-    assert_eq!(wide.resume(&design, &path).unwrap(), reference);
+    assert_eq!(resuming(&wide, &path).run(&design).unwrap(), reference);
     std::fs::remove_file(&path).ok();
 }
 
@@ -291,7 +308,7 @@ fn schema1_text_journal_is_refused_cleanly() {
     std::fs::write(&path, &text).unwrap();
     for r in [
         Checkpoint::load(&path, &cts, &design).map(|_| ()),
-        cts.resume(&design, &path).map(|_| ()),
+        resuming(&cts, &path).run(&design).map(|_| ()),
     ] {
         match r {
             Err(CtsError::Checkpoint { detail }) => assert!(
@@ -312,7 +329,7 @@ fn schema1_text_journal_is_refused_cleanly() {
     }
     // Starting fresh over the refused journal works.
     let reference = cts.run(&design).unwrap();
-    assert_eq!(cts.run_checkpointed(&design, &path).unwrap(), reference);
+    assert_eq!(fresh(&cts, &path).run(&design).unwrap(), reference);
     std::fs::remove_file(&path).ok();
 }
 
@@ -324,14 +341,14 @@ fn corrupt_interior_record_is_refused() {
         ..HierarchicalCts::default()
     };
     let path = journal_path("corrupt");
-    cts.run_checkpointed(&design, &path).unwrap();
+    fresh(&cts, &path).run(&design).unwrap();
     let mut bytes = std::fs::read(&path).unwrap();
     // Flip one byte inside the second record (not the final line).
     let cuts = boundaries(&bytes);
     let target = cuts[1] + 10;
     bytes[target] ^= 0x01;
     std::fs::write(&path, &bytes).unwrap();
-    match cts.resume(&design, &path) {
+    match resuming(&cts, &path).run(&design) {
         Err(CtsError::Checkpoint { detail }) => {
             assert!(
                 detail.contains("corrupt") || detail.contains("line"),
@@ -361,7 +378,7 @@ fn downgraded_levels_checkpoint_and_resume_identically() {
         ..HierarchicalCts::default()
     };
     let path = journal_path("downgrade");
-    let reference = cts.run_checkpointed(&design, &path).unwrap();
+    let reference = fresh(&cts, &path).run(&design).unwrap();
     assert_eq!(reference, cts.run(&design).unwrap());
     let ckpt = Checkpoint::load(&path, &cts, &design).unwrap();
     assert_eq!(
@@ -392,7 +409,7 @@ fn iscas_resume_after_kill_is_bit_identical_at_1_2_4_workers() {
             ..HierarchicalCts::default()
         };
         let path = journal_path(&format!("iscas_{name}"));
-        let reference = writer_cts.run_checkpointed(&design, &path).unwrap();
+        let reference = fresh(&writer_cts, &path).run(&design).unwrap();
         let full = std::fs::read(&path).unwrap();
         let cuts = boundaries(&full);
         assert!(cuts.len() >= 3, "{name}: expected a multi-level journal");

@@ -5,7 +5,7 @@
 
 use sllt_cts::eval::evaluate;
 use sllt_cts::flow::{HierarchicalCts, TopologyKind};
-use sllt_cts::{CollectingObserver, CtsError};
+use sllt_cts::{CollectingObserver, CtsError, NullSink};
 use sllt_design::{Design, DesignSpec};
 use sllt_geom::{Point, Rect};
 use sllt_timing::BufferLibrary;
@@ -196,7 +196,9 @@ fn level_reports_tie_out_with_the_evaluator() {
     let design = DesignSpec::by_name("s35932").unwrap().instantiate();
     let cts = HierarchicalCts::default();
     let mut obs = CollectingObserver::new();
-    let tree = cts.run_with_observer(&design, &mut obs).unwrap();
+    let tree = cts
+        .run_with_telemetry(&design, &mut obs, &NullSink)
+        .unwrap();
     let r = evaluate(&tree, &cts.tech, &cts.lib);
 
     assert!(!obs.levels.is_empty());

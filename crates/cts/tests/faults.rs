@@ -7,11 +7,12 @@
 
 use sllt_cts::flow::HierarchicalCts;
 use sllt_cts::{
-    CollectingObserver, CtsError, FaultKind, FaultPlan, FaultStage, RecoveryPolicy, StageFault,
+    CollectingObserver, CtsError, FaultKind, FaultPlan, FaultStage, NullSink, RecoveryPolicy,
+    StageFault,
 };
 use sllt_design::Design;
 use sllt_geom::{Point, Rect};
-use sllt_tree::Sink;
+use sllt_tree::{ClockTree, Sink};
 
 /// A 96-FF grid: small enough for fast ladder retries, large enough to
 /// partition into several clusters per level.
@@ -41,6 +42,13 @@ fn with_fault(fault: StageFault, recovery: RecoveryPolicy, workers: usize) -> Hi
         workers,
         ..HierarchicalCts::default()
     }
+}
+
+/// Runs `cts` on the grid, collecting the level reports.
+fn observed_run(cts: &HierarchicalCts) -> (ClockTree, CollectingObserver) {
+    let mut obs = CollectingObserver::new();
+    let tree = cts.run_with_telemetry(&grid_design(), &mut obs, &NullSink);
+    (tree.unwrap(), obs)
 }
 
 // ---- typed context without recovery ---------------------------------------
@@ -141,8 +149,7 @@ fn transient_route_error_recovers_and_records_the_downgrade() {
         RecoveryPolicy::standard(),
         1,
     );
-    let mut obs = CollectingObserver::new();
-    let tree = cts.run_with_observer(&grid_design(), &mut obs).unwrap();
+    let (tree, obs) = observed_run(&cts);
     tree.validate().unwrap();
     assert_eq!(tree.sinks().len(), 96);
 
@@ -169,8 +176,7 @@ fn transient_panic_recovers_under_the_ladder() {
         RecoveryPolicy::standard(),
         1,
     );
-    let mut obs = CollectingObserver::new();
-    let tree = cts.run_with_observer(&grid_design(), &mut obs).unwrap();
+    let (tree, obs) = observed_run(&cts);
     tree.validate().unwrap();
     assert_eq!(obs.levels[0].attempts, 2);
     assert!(obs.levels[0].downgrades[0].trigger.contains("panicked"));
@@ -209,8 +215,7 @@ fn zero_restarts_recovers_when_recovery_is_enabled() {
         workers: 1,
         ..HierarchicalCts::default()
     };
-    let mut obs = CollectingObserver::new();
-    let tree = cts.run_with_observer(&grid_design(), &mut obs).unwrap();
+    let (tree, obs) = observed_run(&cts);
     tree.validate().unwrap();
     for l in &obs.levels {
         assert!(l.attempts >= 2, "every level needs the restart floor");
@@ -229,8 +234,7 @@ fn stage_deadline_recovers_by_topology_fallback() {
         workers: 1,
         ..HierarchicalCts::default()
     };
-    let mut obs = CollectingObserver::new();
-    let tree = cts.run_with_observer(&grid_design(), &mut obs).unwrap();
+    let (tree, obs) = observed_run(&cts);
     tree.validate().unwrap();
 
     let l0 = &obs.levels[0];

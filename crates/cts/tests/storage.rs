@@ -1,12 +1,12 @@
 //! Storage fault tolerance: a failing disk must never abort a running
 //! flow. With a [`FaultFs`] injecting ENOSPC/EIO/short-writes/torn-syncs
-//! into the checkpoint journal, `run_checkpointed` must degrade to
+//! into the checkpoint journal, a journaled run must degrade to
 //! in-memory-only operation — emitting the structured
 //! `StorageDegraded` event — and still produce a tree bit-identical to
 //! an unfaulted run. Whatever journal prefix survived must stay
 //! loadable and resumable.
 
-use sllt_cts::{FlowObserver, HierarchicalCts};
+use sllt_cts::{HierarchicalCts, Journal, NullObserver, RecordingSink};
 use sllt_obs::progress::{CollectingProgress, ProgressEvent};
 use sllt_obs::vfs::{FaultConfig, FaultFs};
 use sllt_obs::{journal::read_journal, Progress};
@@ -28,17 +28,6 @@ fn tmp(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("sllt_storage_{tag}_{}.jsonl", std::process::id()))
 }
 
-#[derive(Default)]
-struct DegradeSpy {
-    degraded_at: Option<(usize, String)>,
-}
-
-impl FlowObserver for DegradeSpy {
-    fn on_storage_degraded(&mut self, level: usize, detail: &str) {
-        self.degraded_at = Some((level, detail.to_string()));
-    }
-}
-
 /// One degradation scenario: run with the fault schedule, assert the
 /// tree is bit-identical to the clean reference, the degradation was
 /// reported, and the surviving journal prefix still resumes to the
@@ -54,24 +43,28 @@ fn degrades_and_stays_bit_identical(tag: &str, fault_spec: &str) {
     let mut faulty = cts();
     faulty.vfs = Arc::new(fs.clone());
     faulty.progress = Progress::new(progress.clone());
-    let mut spy = DegradeSpy::default();
+    faulty.journal = Some(Journal::Fresh(path.clone()));
+    let sink = RecordingSink::new();
     let tree = faulty
-        .run_checkpointed_with_observer(&design, &path, &mut spy)
+        .run_with_telemetry(&design, &mut NullObserver, &sink)
         .expect("storage failure must never abort the flow");
     assert_eq!(tree, reference, "degraded run must build the same tree");
     assert!(fs.injected() >= 1, "the schedule must actually fire");
 
-    // The structured event fired, through both channels.
-    let (level, detail) = spy.degraded_at.expect("observer hook fired");
-    let event = progress
+    // The degradation is reported once, through both channels: the
+    // structured progress event and the telemetry counter.
+    let events: Vec<_> = progress
         .snapshot()
         .into_iter()
-        .find_map(|ev| match ev {
-            ProgressEvent::StorageDegraded { level, detail } => Some((level, detail)),
-            _ => None,
-        })
-        .expect("progress stream carries the degradation event");
-    assert_eq!(event, (level, detail));
+        .filter(|ev| matches!(ev, ProgressEvent::StorageDegraded { .. }))
+        .collect();
+    assert_eq!(events.len(), 1, "progress stream carries one degradation");
+    let degraded = sink
+        .registry()
+        .snapshot()
+        .metrics
+        .counter("cts.storage.degraded");
+    assert_eq!(degraded, 1, "the counter matches the event");
 
     // Whatever prefix landed is a valid journal (at most one torn
     // tail), and resuming from it with a healthy disk rebuilds the
@@ -81,7 +74,9 @@ fn degrades_and_stays_bit_identical(tag: &str, fault_spec: &str) {
         j.records.len() + j.frames.len() >= 1,
         "meta record must have committed before the fault"
     );
-    let resumed = clean.resume(&design, &path).expect("resume from prefix");
+    let mut resume = cts();
+    resume.journal = Some(Journal::Resume(path.clone()));
+    let resumed = resume.run(&design).expect("resume from prefix");
     assert_eq!(resumed, reference, "resume must be bit-identical");
     std::fs::remove_file(&path).ok();
 }
@@ -114,7 +109,8 @@ fn mixed_faults_at_low_rate_never_abort_the_flow() {
         let fs = FaultFs::over_real(FaultConfig::parse(&spec).unwrap());
         let mut faulty = cts();
         faulty.vfs = Arc::new(fs.clone());
-        match faulty.run_checkpointed(&design, &path) {
+        faulty.journal = Some(Journal::Fresh(path.clone()));
+        match faulty.run(&design) {
             Ok(tree) => assert_eq!(tree, reference, "seed {seed}"),
             // Creating the journal (file create + meta write + meta
             // sync = the first three ops) can fault — that is a

@@ -13,7 +13,7 @@ pub trait TelemetrySink: Sync {
     }
 }
 
-/// Records nothing; what `run`/`run_with_observer` use internally.
+/// Records nothing; what `run` uses internally.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullSink;
 

@@ -14,13 +14,15 @@
 //! line. A cancelled child exits [`EXIT_JOB_CANCELLED`] and leaves its
 //! checkpoint for the next attempt to resume.
 
-use sllt_cts::flow::HierarchicalCts;
+use sllt_cts::flow::{HierarchicalCts, Journal};
 use sllt_cts::{
     evaluate, CancelToken, CtsError, FaultKind, FaultPlan, FaultStage, Progress, RecoveryPolicy,
     StageFault,
 };
+use sllt_design::Design;
 use sllt_obs::progress::{read_progress, ProgressEvent};
 use sllt_obs::{JournalProgress, Value};
+use sllt_tree::ClockTree;
 use std::collections::HashSet;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
@@ -137,6 +139,28 @@ pub struct ChildArgs {
     pub fault: Option<FaultSpec>,
 }
 
+/// Runs `cts` on `design` journaled at `ckpt`: an existing journal is
+/// resumed; a stale or mismatched one (config drift, corruption beyond
+/// the torn-tail tolerance) is discarded, not fatal, and the run starts
+/// fresh.
+pub fn run_journaled(
+    cts: &HierarchicalCts,
+    design: &Design,
+    ckpt: &Path,
+) -> Result<ClockTree, CtsError> {
+    let with = |journal| HierarchicalCts {
+        journal: Some(journal),
+        ..cts.clone()
+    };
+    if ckpt.exists() {
+        match with(Journal::Resume(ckpt.into())).run(design) {
+            Err(CtsError::Checkpoint { .. }) => std::fs::remove_file(ckpt).ok(),
+            other => return other,
+        };
+    }
+    with(Journal::Fresh(ckpt.into())).run(design)
+}
+
 /// Runs one job attempt in this process. Returns the exit code to
 /// report: `Ok` on success, `Err(code)` otherwise. This is the
 /// isolation boundary — anything in here may fail, panic, or be killed
@@ -212,19 +236,7 @@ pub fn run_child(args: &ChildArgs) -> Result<(), u8> {
 
     let ckpt = ckpt_path(&args.out_dir, &args.job_id);
     let t0 = Instant::now();
-    let result = if ckpt.exists() {
-        match cts.resume(&design, &ckpt) {
-            // Stale/mismatched journal (config drift, corruption beyond
-            // the torn-tail tolerance): discard and start fresh.
-            Err(CtsError::Checkpoint { .. }) => {
-                std::fs::remove_file(&ckpt).ok();
-                cts.run_checkpointed(&design, &ckpt)
-            }
-            other => other,
-        }
-    } else {
-        cts.run_checkpointed(&design, &ckpt)
-    };
+    let result = run_journaled(&cts, &design, &ckpt);
 
     match result {
         Ok(tree) => {
@@ -363,7 +375,7 @@ pub fn gc_artifacts(
 
 /// Writes the result tree via temp + rename so a child killed mid-write
 /// can never leave a torn tree that a later comparison would trust.
-fn write_tree_atomic(path: &Path, tree: &sllt_tree::ClockTree) -> Result<(), String> {
+fn write_tree_atomic(path: &Path, tree: &ClockTree) -> Result<(), String> {
     let tmp = path.with_extension("sllt.tmp");
     let mut f =
         std::fs::File::create(&tmp).map_err(|e| format!("create {}: {e}", tmp.display()))?;

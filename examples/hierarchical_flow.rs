@@ -7,7 +7,7 @@
 
 use sllt::cts::{
     baseline, constraints::CtsConstraints, eval::evaluate, flow::HierarchicalCts,
-    CollectingObserver,
+    CollectingObserver, NullSink,
 };
 use sllt::design::design_by_name;
 
@@ -31,7 +31,7 @@ fn main() {
     // Watch the hierarchical engine level by level while it runs.
     let mut obs = CollectingObserver::new();
     let ours_tree = ours
-        .run_with_observer(&design, &mut obs)
+        .run_with_telemetry(&design, &mut obs, &NullSink)
         .expect("flow failed");
     println!("\nper-level engine report (ours):\n{}", obs.render());
 

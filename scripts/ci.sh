@@ -56,7 +56,7 @@ if cargo run --release -q -p sllt-bench --bin bench_diff -- \
   echo "bench_diff must exit nonzero on injected counter drift" >&2; exit 1
 fi
 
-echo "== trace smoke: traced s35932 exports valid Chrome JSON, tree untouched"
+echo "== trace smoke: traced s35932 exports valid Chrome JSON, tree untouched, journal resumes"
 # `sllt run --trace` self-validates the export (parses it back before
 # exiting 0); here we additionally pin the observation-only contract —
 # the traced tree is bit-identical to the untraced one at 1/2/4 route
@@ -71,7 +71,22 @@ done
 grep -q '"name":"cts.route.cluster"' results/trace_s35932.json
 grep -q '"ph":"C"' results/trace_s35932.json
 grep -q '"name":"partition.mcf.augmentations"' results/trace_s35932.json
-rm -f results/tree_untraced.sllt results/tree_traced_*.sllt
+# A traced run honours its checkpoint journal: same tree, and both the
+# journal and a copy torn mid-record resume to that tree.
+rm -f results/trace_ckpt.journal
+./target/release/sllt run --design s35932 --trace --workers 2 \
+    --checkpoint results/trace_ckpt.journal --tree results/tree_traced_ckpt.sllt > /dev/null 2> /dev/null
+cmp results/tree_traced_ckpt.sllt results/tree_untraced.sllt
+./target/release/sllt run --design s35932 --workers 2 --checkpoint results/trace_ckpt.journal \
+    --resume --tree results/tree_resumed_ckpt.sllt > /dev/null
+cmp results/tree_resumed_ckpt.sllt results/tree_untraced.sllt
+head -c "$(( $(wc -c < results/trace_ckpt.journal) / 2 ))" results/trace_ckpt.journal \
+    > results/trace_ckpt_torn.journal
+./target/release/sllt run --design s35932 --workers 2 --checkpoint results/trace_ckpt_torn.journal \
+    --resume --tree results/tree_resumed_torn.sllt > /dev/null
+cmp results/tree_resumed_torn.sllt results/tree_untraced.sllt
+rm -f results/tree_untraced.sllt results/tree_traced_*.sllt results/tree_resumed_*.sllt \
+    results/trace_ckpt*.journal
 
 echo "== trace property tests: Chrome export survives hostile names"
 cargo test -q -p sllt-obs --features proptest --test trace_prop

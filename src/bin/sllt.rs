@@ -11,7 +11,8 @@
 //! sllt jobs submit --design s38584 [...]          talk to a running slltd
 //! ```
 
-use sllt::cts::{baseline, constraints::CtsConstraints, eval, flow::HierarchicalCts, ocv};
+use sllt::cts::flow::{HierarchicalCts, Journal};
+use sllt::cts::{baseline, constraints::CtsConstraints, eval, ocv};
 use sllt::design::{NetGenerator, SUITE};
 use sllt::obs::{Progress, ProgressEvent, ProgressSink, RecordingSink, TraceWriter};
 use sllt::route::{DelayModel, DmeOptions, TopologyScheme};
@@ -185,6 +186,7 @@ fn rss_bytes() -> Option<u64> {
 /// ~50 ms (also sampling process RSS as a gauge), and after the run the
 /// sealed journal is exported as a Chrome trace-event file
 /// (`results/trace_<design>.json`) and validated by parsing it back.
+/// A `--checkpoint` journal set on `cts` is written as in an untraced run.
 fn run_traced(cts: &HierarchicalCts, design: &sllt::design::Design) -> Result<ClockTree, String> {
     std::fs::create_dir_all("results").map_err(|e| format!("create results directory: {e}"))?;
     let jsonl = std::path::PathBuf::from(format!("results/trace_{}.jsonl", design.name));
@@ -260,37 +262,31 @@ fn run_engine(
     } else {
         Progress::none()
     };
+    let journal = flag(args, "--checkpoint").map(|path| {
+        let path = std::path::PathBuf::from(path);
+        if has_flag(args, "--resume") && path.exists() {
+            Journal::Resume(path)
+        } else {
+            Journal::Fresh(path)
+        }
+    });
     let cts = HierarchicalCts {
         cancel: token,
         workers: flag_parse(args, "--workers", cts.workers)?,
         progress,
+        journal,
         ..cts
     };
     if has_flag(args, "--trace") {
-        if flag(args, "--checkpoint").is_some() {
-            return Err(
-                "--trace cannot be combined with --checkpoint (each owns its own journal); \
-                 run them separately"
-                    .into(),
-            );
-        }
         return run_traced(&cts, design);
     }
-    let result = match flag(args, "--checkpoint") {
-        Some(path) => {
-            let path = std::path::PathBuf::from(path);
-            if args.iter().any(|a| a == "--resume") && path.exists() {
-                cts.resume(design, &path)
-            } else {
-                cts.run_checkpointed(design, &path)
-            }
-        }
-        None => cts.run(design),
-    };
-    result.map_err(|e| format!("CTS flow failed: {e}"))
+    cts.run(design).map_err(|e| format!("CTS flow failed: {e}"))
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
+    if has_flag(args, "--resume") && flag(args, "--checkpoint").is_none() {
+        return Err("--resume needs --checkpoint <journal>".into());
+    }
     let design = if let Some(path) = flag(args, "--design-file") {
         let f = std::fs::File::open(&path).map_err(|e| format!("open {path}: {e}"))?;
         sllt::design::read_design(&mut std::io::BufReader::new(f))
@@ -309,6 +305,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         "openroad" => {
             if has_flag(args, "--trace") || has_flag(args, "--progress") {
                 return Err("--trace/--progress need an engine flow (ours|commercial)".into());
+            }
+            if has_flag(args, "--checkpoint") || has_flag(args, "--resume") {
+                return Err("--checkpoint/--resume need an engine flow (ours|commercial)".into());
             }
             baseline::open_road_like(&design, &CtsConstraints::paper(), &ours.tech, &ours.lib)
         }
